@@ -56,7 +56,9 @@ EXPERIMENT_TASK = "repro.experiments.campaign:experiment_task"
 EXPERIMENT_DECODE = "repro.experiments.campaign:experiment_decode"
 IDENTITY_DECODE = "repro.experiments.campaign:identity_decode"
 
-_CACHE_VERSION = 1
+#: entry format; 2 = tracker sample columns packed (base64 of int64 /
+#: float64).  ``ResultCache.load`` treats any other version as a miss.
+_CACHE_VERSION = 2
 
 
 # -- cell tasks ----------------------------------------------------------

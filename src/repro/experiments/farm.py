@@ -90,6 +90,10 @@ DEFAULT_LIVENESS_TIMEOUT_S = 30.0
 
 _JOURNAL_VERSION = 1
 
+#: bound on each thread join in ``FarmCoordinator.close``; a thread woken
+#: by a socket shutdown exits in microseconds, so this only caps a hang
+_JOIN_TIMEOUT_S = 10.0
+
 
 class FarmInterrupted(RuntimeError):
     """The coordinator stopped mid-sweep (crash hook); journal kept."""
@@ -402,6 +406,9 @@ class FarmCoordinator:
         self.workers_ever = 0
         self.last_departure = time.monotonic()
         self._accept_thread: threading.Thread | None = None
+        #: every accepted connection with its thread, hello'd or not, so
+        #: ``close`` can unblock and join all of them
+        self._conns: list[tuple[FrameConn, threading.Thread]] = []
 
     def start(self) -> None:
         self._accept_thread = threading.Thread(
@@ -418,11 +425,15 @@ class FarmCoordinator:
                 sock, addr = self._server.accept()
             except OSError:
                 return  # server closed: coordinator shutting down
-            threading.Thread(target=self._serve_conn, args=(sock, addr),
-                             name="farm-conn", daemon=True).start()
+            conn = FrameConn(sock)
+            thread = threading.Thread(
+                target=self._serve_conn, args=(conn, addr),
+                name="farm-conn", daemon=True)
+            with self._lock:
+                self._conns.append((conn, thread))
+            thread.start()
 
-    def _serve_conn(self, sock: socket.socket, addr) -> None:
-        conn = FrameConn(sock)
+    def _serve_conn(self, conn: FrameConn, addr) -> None:
         worker = _WorkerConn(conn, f"{addr[0]}:{addr[1]}")
         try:
             hello = conn.recv()
@@ -504,12 +515,24 @@ class FarmCoordinator:
                 worker.conn.kill()
 
     def close(self) -> None:
+        """Stop accepting, hang up on every peer, and join every thread
+        this coordinator started, so none outlives the sweep holding its
+        state (and that run's payloads) alive."""
         try:
-            self._server.close()
+            # close() alone does not wake a thread blocked in accept()
+            # on Linux; shutdown() does.
+            self._server.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
-        for worker in self.live_workers():
-            worker.conn.kill()
+        self._server.close()
+        if self._accept_thread is not None:
+            self._accept_thread.join(_JOIN_TIMEOUT_S)
+        with self._lock:
+            conns, self._conns = self._conns, []
+        for conn, _ in conns:
+            conn.kill()
+        for _, thread in conns:
+            thread.join(_JOIN_TIMEOUT_S)
 
 
 # -- execution -----------------------------------------------------------

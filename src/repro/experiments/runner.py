@@ -146,9 +146,11 @@ class ExperimentResult:
     def to_payload(self) -> dict:
         """Compact JSON-safe form: everything figures read from a run,
         without live simulator objects, so results can cross process
-        boundaries and persist in the on-disk campaign cache.  Floats
-        round-trip exactly (json uses repr), so slowdown digests of a
-        rehydrated result are byte-identical to the original."""
+        boundaries and persist in the on-disk campaign cache.  Every
+        float round-trips exactly — scalars through json's repr, the
+        per-message samples as the tracker's packed float64 column — so
+        slowdown digests of a rehydrated result are byte-identical to
+        the original."""
         return {
             "cfg": self.cfg.to_payload(),
             "tracker": self.tracker.to_payload(),

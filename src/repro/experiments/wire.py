@@ -8,11 +8,14 @@ full frame vocabulary is documented in docs/CAMPAIGNS.md (farm section)
 next to the failure semantics that rely on it.
 
 JSON is the transport on purpose (no pickle): payloads are exactly the
-``to_payload`` dictionaries the on-disk cache stores, floats round-trip
-via ``repr`` so farmed results are byte-identical to local ones, and a
-malformed line is a :class:`ProtocolError` — a per-connection failure
-the coordinator can answer by dropping that worker, never a deserialized
-surprise.
+``to_payload`` dictionaries the on-disk cache stores, moved as opaque
+JSON objects, so farmed results are byte-identical to local ones.
+Scalar floats round-trip via ``repr``; the bulky per-message sample
+columns are base64 strings of packed little-endian int64s/doubles that
+only ``SlowdownTracker`` reads (``jq -r .payload.tracker.slowdowns |
+base64 -d | od -A n -t f8`` prints one).  A malformed line is a
+:class:`ProtocolError` — a per-connection failure the coordinator can
+answer by dropping that worker, never a deserialized surprise.
 """
 
 from __future__ import annotations
@@ -21,9 +24,10 @@ import json
 import socket
 import threading
 
-#: bumped when the frame vocabulary changes incompatibly; hello/welcome
+#: bumped when the frame vocabulary or the payload format inside result
+#: frames changes incompatibly (2: packed sample columns); hello/welcome
 #: frames carry it so mismatched peers fail fast with a clear message
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: hard per-frame ceiling — a single cell payload is a few hundred KB
 #: even at paper scale, so anything near this is a framing bug, not data

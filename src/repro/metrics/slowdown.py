@@ -10,6 +10,9 @@ axis is linear in total number of messages, with ticks corresponding to
 from __future__ import annotations
 
 import bisect
+import sys
+from array import array
+from base64 import b64decode, b64encode
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +36,35 @@ class BucketStats:
                 f"{self.p50:>8.2f} {self.p99:>9.2f} {self.mean:>8.2f}")
 
 
+def _pack(typecode: str, values: list) -> str:
+    """One sample column as base64 of its little-endian 8-byte items."""
+    column = array(typecode, values)
+    if sys.byteorder == "big":
+        column.byteswap()
+    return b64encode(column.tobytes()).decode("ascii")
+
+
+def _unpack(name: str, typecode: str, text: object) -> list:
+    """Inverse of :func:`_pack`; ``ValueError`` names the bad column."""
+    if not isinstance(text, str):
+        raise ValueError(f"tracker column {name!r} must be a base64 string, "
+                         f"got {type(text).__name__}")
+    try:
+        raw = b64decode(text, validate=True)
+    except ValueError as exc:
+        raise ValueError(
+            f"tracker column {name!r} is not valid base64: {exc}") from exc
+    column = array(typecode)
+    if len(raw) % column.itemsize:
+        raise ValueError(
+            f"tracker column {name!r} holds {len(raw)} bytes, not a "
+            f"multiple of {column.itemsize}")
+    column.frombytes(raw)
+    if sys.byteorder == "big":
+        column.byteswap()
+    return column.tolist()
+
+
 class SlowdownTracker:
     """Records per-message slowdowns and produces bucketed reports.
 
@@ -50,16 +82,23 @@ class SlowdownTracker:
         self.slowdowns: list[float] = []
 
     def to_payload(self) -> dict:
-        """Compact JSON-safe form (floats survive exactly via repr)."""
+        """Compact JSON-safe form.  The two sample columns are packed:
+        ``sizes`` as little-endian int64 and ``slowdowns`` as IEEE
+        float64, each base64-encoded into one ASCII string, so the
+        doubles survive bit-exactly and no JSON encoder walks them."""
         return {"warmup_ps": self.warmup_ps,
-                "sizes": self.sizes,
-                "slowdowns": self.slowdowns}
+                "sizes": _pack("q", self.sizes),
+                "slowdowns": _pack("d", self.slowdowns)}
 
     @classmethod
     def from_payload(cls, payload: dict) -> "SlowdownTracker":
         tracker = cls(None, warmup_ps=payload["warmup_ps"])
-        tracker.sizes = [int(s) for s in payload["sizes"]]
-        tracker.slowdowns = [float(s) for s in payload["slowdowns"]]
+        tracker.sizes = _unpack("sizes", "q", payload["sizes"])
+        tracker.slowdowns = _unpack("slowdowns", "d", payload["slowdowns"])
+        if len(tracker.sizes) != len(tracker.slowdowns):
+            raise ValueError(
+                f"tracker column 'sizes' holds {len(tracker.sizes)} samples "
+                f"but 'slowdowns' holds {len(tracker.slowdowns)}")
         return tracker
 
     def record_oneway(self, src: int, dst: int, size: int,

@@ -64,8 +64,9 @@ def test_result_payload_round_trip_is_exact():
     result = run_experiment(small_cfg(collect=("queues", "throughput")))
     back = ExperimentResult.from_payload(
         json.loads(json.dumps(result.to_payload())))
-    # Byte-exact slowdowns: repr round-trips through JSON.
+    # Bit-exact samples: the packed float64 column survives JSON.
     assert back.tracker.slowdowns == result.tracker.slowdowns
+    assert back.tracker.sizes == result.tracker.sizes
     assert ([repr(v) for v in back.slowdown_series(99)]
             == [repr(v) for v in result.slowdown_series(99)])
     assert back.cfg == result.cfg
@@ -106,8 +107,10 @@ def test_payload_round_trip_covers_every_field():
         json.loads(json.dumps(cfg.to_payload())))
     assert back == cfg
 
-    tracker = SlowdownTracker.from_payload(
-        {"warmup_ps": 123, "sizes": [100, 200], "slowdowns": [1.5, 2.5]})
+    recorded = SlowdownTracker(None, warmup_ps=123)
+    recorded.sizes = [100, 200]
+    recorded.slowdowns = [1.5, 2.5]
+    tracker = SlowdownTracker.from_payload(recorded.to_payload())
     result = ExperimentResult(
         cfg=cfg, tracker=tracker, submitted=5, completed=4, pending=1,
         sim_time_ms=3.5, events=999, wall_seconds=0.25,
@@ -133,6 +136,8 @@ def test_payload_round_trip_covers_every_field():
     back = ExperimentResult.from_payload(
         json.loads(json.dumps(result.to_payload())))
     assert back.to_payload() == result.to_payload()
+    assert (back.tracker.warmup_ps, back.tracker.sizes,
+            back.tracker.slowdowns) == (123, [100, 200], [1.5, 2.5])
     assert back.cfg == cfg
     assert isinstance(back.delay_breakdown, tuple)
     assert isinstance(back.cfg.collect, tuple)
@@ -225,6 +230,36 @@ def test_campaign_cache_keyed_by_config(tmp_path):
     spec_c = campaign.experiment_grid("keyed", {"cell": small_cfg()})
     run_c = campaign.run(spec_c, jobs=1, cache_dir=tmp_path, quiet=True)
     assert run_c.computed == 0 and run_c.cached == 1
+
+
+def test_version_1_cache_entry_is_a_miss_and_is_overwritten(tmp_path):
+    """An entry written before the packed columns (version 1, list-form
+    samples) must never reach ``from_payload``: it is recomputed and
+    replaced in place by a current entry."""
+    spec = campaign.experiment_grid("skew", {"cell": small_cfg()})
+    first = campaign.run(spec, jobs=1, cache_dir=tmp_path, quiet=True)
+    path = campaign.ResultCache(tmp_path).path_for(spec.name, spec.cells[0])
+    entry = json.loads(path.read_bytes())
+    assert entry["version"] == campaign._CACHE_VERSION == 2
+    packed = dict(entry["payload"]["tracker"])
+    assert isinstance(packed["slowdowns"], str)
+
+    tracker = first["cell"].tracker
+    entry["version"] = 1
+    entry["payload"]["tracker"].update(
+        sizes=tracker.sizes, slowdowns=[99.0] * tracker.count)
+    path.write_text(json.dumps(entry))
+    assert campaign.ResultCache(tmp_path).load(path) is None
+
+    rerun = campaign.run(spec, jobs=1, cache_dir=tmp_path, quiet=True)
+    assert rerun.computed == 1 and rerun.cached == 0
+    assert rerun["cell"].tracker.slowdowns == tracker.slowdowns
+    # Deterministic cell: the overwrite differs only in its wall time.
+    rewritten = json.loads(path.read_bytes())
+    assert rewritten["version"] == 2
+    assert rewritten["payload"]["tracker"] == packed
+    assert campaign.run(spec, jobs=1, cache_dir=tmp_path,
+                        quiet=True).cached == 1
 
 
 def test_campaign_cell_error_names_the_config(tmp_path):

@@ -372,6 +372,34 @@ def test_local_fallback_when_no_workers_connect(tmp_path):
     assert results.farm_workers == 0
 
 
+def _farm_threads():
+    return sorted(t.name for t in threading.enumerate()
+                  if t.name in ("farm-accept", "farm-conn"))
+
+
+@pytest.mark.parametrize("path", ["normal", "crash_after", "fallback"])
+def test_run_farm_leaves_no_thread_behind(tmp_path, path):
+    """``run_farm`` joins what it starts: a leaked accept thread keeps
+    its coordinator, and every payload that sweep decoded, alive."""
+    spec = square_spec()
+    assert _farm_threads() == []
+    before = threading.active_count()
+    if path == "normal":
+        out = run_farm_with_workers([spec], tmp_path)
+        assert out[spec.name].farm_workers == 2
+    elif path == "crash_after":
+        with pytest.raises(farm.FarmInterrupted):
+            run_farm_with_workers([spec], tmp_path, fresh=True,
+                                  crash_after=2)
+    else:
+        out = farm.run_farm([spec], cache_dir=tmp_path / "cache",
+                            journal_dir=tmp_path / "journal",
+                            farm_wait_s=0.2, quiet=True)
+        assert out[spec.name].farm_fallback
+    assert _farm_threads() == []
+    assert threading.active_count() == before
+
+
 def test_untransportable_spec_runs_locally_alongside_workers(tmp_path):
     cells = [Cell(key=i, spec={"x": i}, task="tests.test_farm:square_task",
                   decode=IDENTITY_DECODE) for i in range(3)]
@@ -429,28 +457,55 @@ def test_malformed_frame_disconnects_without_poisoning_queue(tmp_path):
     assert results.farm_requeues == 1
 
 
-def test_protocol_version_mismatch_is_rejected(tmp_path):
-    spec = square_spec(n=1)
+def _refuse_skewed_worker(tmp_path, spoken, rescue):
+    """A peer saying ``protocol: spoken`` is refused at hello; the sweep
+    then completes through ``rescue`` (a current worker, or the local
+    fallback when nobody else shows up)."""
+    spec = square_spec(n=2)
     port_box = {}
     port_ready = threading.Event()
+    out_box = {}
 
     def coordinator():
         def on_listening(port):
             port_box["port"] = port
             port_ready.set()
-        farm.run_farm([spec], cache_dir=tmp_path / "cache",
-                      journal_dir=tmp_path / "journal", farm_wait_s=2.0,
-                      on_listening=on_listening, quiet=True)
+        out_box["out"] = farm.run_farm(
+            [spec], cache_dir=tmp_path / "cache",
+            journal_dir=tmp_path / "journal",
+            farm_wait_s=2.0 if rescue == "fallback" else 30.0,
+            on_listening=on_listening, quiet=True)
 
     coord = threading.Thread(target=coordinator, daemon=True)
     coord.start()
     assert port_ready.wait(timeout=30)
     sock = socket.create_connection(("127.0.0.1", port_box["port"]))
     conn = FrameConn(sock)
-    conn.send({"type": "hello", "protocol": 999, "worker": "future"})
+    conn.send({"type": "hello", "protocol": spoken, "worker": "skewed"})
     reply = conn.recv()
     assert reply["type"] == "abort"
-    assert "protocol" in reply["reason"]
+    assert "protocol 2 required" in reply["reason"]
+    assert repr(spoken) in reply["reason"]
+    assert conn.recv() is None  # refused at hello: never handed a cell
     conn.close()
-    coord.join(timeout=60)  # fallback still finishes the sweep
+
+    if rescue == "worker":
+        assert farm.worker_loop("127.0.0.1", port_box["port"]) == 2
+    coord.join(timeout=60)
     assert not coord.is_alive()
+    results = out_box["out"][spec.name]
+    assert dict(results) == {0: {"value": 0}, 1: {"value": 1}}
+    assert results.farm_fallback == (rescue == "fallback")
+    assert results.farm_workers == (1 if rescue == "worker" else 0)
+
+
+def test_protocol_version_mismatch_is_rejected(tmp_path):
+    _refuse_skewed_worker(tmp_path, 999, "fallback")
+
+
+@pytest.mark.parametrize("rescue", ["worker", "fallback"])
+def test_stale_protocol_1_worker_is_refused_at_hello(tmp_path, rescue):
+    """Version 1 workers ship list-form sample columns the coordinator
+    can no longer decode: they must never be handed a cell."""
+    assert PROTOCOL_VERSION == 2
+    _refuse_skewed_worker(tmp_path, 1, rescue)

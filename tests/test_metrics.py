@@ -1,8 +1,13 @@
 """Unit tests for the metrics package."""
 
+import base64
+import json
 import math
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.engine import Simulator
 from repro.core.packet import Packet, PacketType
@@ -81,6 +86,88 @@ def test_tracker_overall_empty_raises():
     net = make_net()
     with pytest.raises(ValueError):
         SlowdownTracker(net).overall(99)
+
+
+# -- packed sample columns (the payload form) ----------------------------
+
+
+def _tracker(sizes, slowdowns, warmup_ps=0):
+    tracker = SlowdownTracker(None, warmup_ps=warmup_ps)
+    tracker.sizes = list(sizes)
+    tracker.slowdowns = list(slowdowns)
+    return tracker
+
+
+def _bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+_SAMPLES = st.lists(st.tuples(
+    st.integers(0, 2**62),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)))
+
+
+@given(_SAMPLES, st.integers(0, 2**40))
+@settings(max_examples=200, deadline=None)
+def test_packed_columns_round_trip_bit_exactly(samples, warmup_ps):
+    tracker = _tracker([s for s, _ in samples], [v for _, v in samples],
+                       warmup_ps)
+    back = SlowdownTracker.from_payload(
+        json.loads(json.dumps(tracker.to_payload())))
+    assert back.warmup_ps == warmup_ps
+    assert type(back.sizes) is list and type(back.slowdowns) is list
+    assert back.sizes == tracker.sizes
+    assert all(type(s) is int for s in back.sizes)
+    assert all(type(v) is float for v in back.slowdowns)
+    # nan != nan and -0.0 == 0.0: compare the doubles by their bits.
+    assert _bits(back.slowdowns) == _bits(tracker.slowdowns)
+
+
+def test_packed_columns_edge_values_and_empty_tracker():
+    edge = [-0.0, 5e-324, 2.2250738585072014e-308, float("inf"),
+            float("-inf"), float("nan"), 1.0000000000000002]
+    tracker = _tracker([0, 1, 2**62, 7, 8, 9, 10], edge)
+    payload = json.loads(json.dumps(tracker.to_payload()))
+    back = SlowdownTracker.from_payload(payload)
+    assert back.sizes == tracker.sizes
+    assert _bits(back.slowdowns) == _bits(edge)
+    # The documented layout: little-endian float64 / int64, base64.
+    assert base64.b64decode(payload["slowdowns"]) == b"".join(_bits(edge))
+    assert base64.b64decode(payload["sizes"]) \
+        == struct.pack("<7q", *tracker.sizes)
+
+    empty = SlowdownTracker.from_payload(
+        json.loads(json.dumps(_tracker([], []).to_payload())))
+    assert empty.sizes == [] and empty.slowdowns == [] and empty.count == 0
+
+
+def _payload(**columns):
+    payload = _tracker([10, 20, 30], [1.5, 2.5, 3.5]).to_payload()
+    payload.update(columns)
+    return payload
+
+
+@pytest.mark.parametrize("column, value", [
+    # truncated base64 (a cut transfer): length no longer a multiple of 4
+    ("slowdowns", _payload()["slowdowns"][:-3]),
+    ("sizes", _payload()["sizes"][:-1]),
+    # characters outside the alphabet, and non-ASCII text
+    ("slowdowns", "!!!!" + _payload()["slowdowns"][4:]),
+    ("sizes", "\u00e9" * 4),
+    # well-formed base64 of 31 bytes: three items and a 7-byte tail
+    ("slowdowns", base64.b64encode(bytes(31)).decode()),
+    ("sizes", base64.b64encode(bytes(7)).decode()),
+    # the version-1 list form and other non-strings
+    ("slowdowns", [1.5, 2.5, 3.5]),
+    ("sizes", [10, 20, 30]),
+    ("sizes", None),
+    # columns of different length
+    ("slowdowns", _tracker([], [1.5, 2.5]).to_payload()["slowdowns"]),
+    ("sizes", _tracker([10], []).to_payload()["sizes"]),
+])
+def test_hostile_packed_column_raises_value_error_naming_it(column, value):
+    with pytest.raises(ValueError, match=f"'{column}'"):
+        SlowdownTracker.from_payload(_payload(**{column: value}))
 
 
 def test_bucket_index():

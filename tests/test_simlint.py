@@ -573,6 +573,30 @@ def test_payload_pragma_waives():
     assert len(result.waived) == 1
 
 
+def test_payload_keys_visible_through_packing_helpers():
+    """Values wrapped in calls (the tracker's packed sample columns:
+    ``_pack(...)`` on write, ``_unpack(name, code, payload[key])`` on
+    read) keep their keys statically visible on both sides."""
+    src = """
+        class T:
+            def to_payload(self):
+                return {"warmup_ps": self.warmup_ps,
+                        "sizes": _pack("q", self.sizes),
+                        "slowdowns": _pack("d", self.slowdowns)}
+            @classmethod
+            def from_payload(cls, payload):
+                t = cls(None, warmup_ps=payload["warmup_ps"])
+                t.sizes = _unpack("sizes", "q", payload["sizes"])
+                t.slowdowns = _unpack("slowdowns", "d", SLOWDOWNS)
+                return t
+        """
+    assert rule_hits(src.replace("SLOWDOWNS", 'payload["slowdowns"]'),
+                     "payload-roundtrip") == []
+    # The column *name* passed to the helper is not a read of the key.
+    hits = rule_hits(src.replace("SLOWDOWNS", "other"), "payload-roundtrip")
+    assert [f.detail for f in hits] == ["unread:slowdowns"]
+
+
 # -- doc-drift ----------------------------------------------------------
 
 CONFIG_SRC = """
