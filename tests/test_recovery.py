@@ -256,6 +256,63 @@ def test_clean_fabric_disarms_recovery():
 
 
 # ---------------------------------------------------------------------------
+# lossy fabrics: the armed recovery paths, pinned
+# ---------------------------------------------------------------------------
+
+#: protocol -> (slowdown digest, completed, retransmitted DATA packets).
+LOSSY_DIGESTS = {
+    "homa": (
+        "e8f8fb8786b476d8ff095697397b352aca927f0e693476a0fb855da8146622ef", 2432, 134),
+    "basic": (
+        "3b504a8c24fcff1f1cb0a494eb4777e37abe3c06b32348dc3be4349bb60fc3ef", 2413, 131),
+    "pfabric": (
+        "aac1fe375f8db4398696b829e37b6852e80c424e52c9b1ba337e7abf7d86b916", 2342, 745),
+    "phost": (
+        "a2523b38dc83d3404a982ff102da63cc27c5438a5b20428054e0f7f8cadf911c", 2488, 467),
+    "pias": (
+        "407ddcbca730f4e315db53f30208c962c80b525490de297eba2ce98ec6544e6e", 2388, 932),
+    "ndp": (
+        "f8636f7e93717aa5184fbde6ec6026d201193db0c2c8af74ea86a0eaf0d35845", 2362, 927),
+    "stream": (
+        "2284129d9647d4179582f0ba34a1765858e27e9f376d907c958dd6b24845d925", 2518, 850),
+    "stream_mc": (
+        "db2a9dce15de9f4ce5892cdc485653a37c172f81ee4e2d3d3e539c4fb124fd63", 2529, 809),
+}
+
+
+def lossy_3level_spec(window_ms=0.4):
+    """16 hosts behind a 3-level fabric with 1% loss per tier and the
+    benchmark's fault schedule (a ToR uplink down, a core switch down,
+    the uplink back up) inside the traffic window."""
+    return TopologySpec(
+        levels=3, pods=2, racks=2, hosts_per_rack=4, aggrs=2, cores=4,
+        host_gbps=10, aggr_gbps=25, core_gbps=100,
+        loss=LossRates(tor=0.01, aggr=0.01, core=0.01),
+        faults=(FaultEvent(0.35 * window_ms, "link", "down", "tor0:aggr0.1"),
+                FaultEvent(0.55 * window_ms, "switch", "down", "core0"),
+                FaultEvent(0.80 * window_ms, "link", "up", "tor0:aggr0.1")))
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_lossy_fabric_digest_pinned(protocol):
+    """The armed recovery paths, byte for byte: every protocol on a
+    lossy, faulted 3-level fabric with 16 hosts, so sender rings hold
+    dozens of connections / flows and really rotate (the clean pins
+    above use 4 hosts).  Recorded on the tree of PR 12 (45dbf05),
+    before the sender-pull refactor of PR 15 touched any transport; a
+    refactor of a recovery path or a sender scan must leave them
+    unchanged."""
+    digest, completed, rtx_data = LOSSY_DIGESTS[protocol]
+    result = run_experiment(ExperimentConfig(
+        protocol=protocol, workload="W3", load=0.5, duration_ms=0.3,
+        warmup_ms=0.1, drain_ms=20.0, seed=300 + PROTOCOLS.index(protocol),
+        fabric=lossy_3level_spec()))
+    assert result.control.rtx_data == rtx_data
+    assert result.completed == completed
+    assert slowdown_digest({protocol: result}) == digest
+
+
+# ---------------------------------------------------------------------------
 # edge cases
 # ---------------------------------------------------------------------------
 
