@@ -26,6 +26,9 @@ conscious decision (see docs/PERFORMANCE.md).
 The manifest itself is checked: entries that no longer resolve to a
 function raise a ``hot-alloc`` stale finding, so refactors must keep it
 current.
+
+``quadratic-pop`` (blocking, all of ``src/repro/``) lives here too: a
+FIFO kept in a ``list`` and served with ``.pop(0)``.
 """
 
 from __future__ import annotations
@@ -110,6 +113,32 @@ HOT_FUNCTIONS: dict[str, frozenset[str]] = {
         {
             "Transport.send_ctrl",
             "Transport.next_packet",
+        }
+    ),
+    # The baseline senders' NIC pulls (docs/PERFORMANCE.md, "Sender pulls").
+    "src/repro/transport/rotation.py": frozenset(
+        {
+            "ReadyRing.mark",
+            "ReadyRing.pull",
+        }
+    ),
+    "src/repro/baselines/stream.py": frozenset(
+        {
+            "_Connection.sendable",
+            "StreamTransport._next_data",
+        }
+    ),
+    "src/repro/baselines/pias.py": frozenset(
+        {
+            "PiasTransport._next_data",
+            "PiasTransport._emit",
+        }
+    ),
+    "src/repro/baselines/ndp.py": frozenset(
+        {
+            "NdpTransport._mark",
+            "NdpTransport._next_data",
+            "NdpTransport._emit",
         }
     ),
 }
@@ -226,4 +255,81 @@ def check_hot_alloc(project: Project) -> list[Finding]:
                 )
                 continue
             _scan_function(mod, qual, fn, out)
+    return out
+
+
+def _rooted_at_self(node: ast.AST) -> bool:
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return isinstance(node, ast.Name) and node.id == "self"
+
+
+def _front_shift(call: ast.AST) -> str | None:
+    """``"pop"`` for ``x.pop(0)``, ``"insert"`` for ``x.insert(0, y)``."""
+    if not (
+        isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and not call.keywords
+        and (call.func.attr, len(call.args)) in {("pop", 1), ("insert", 2)}
+    ):
+        return None
+    index = call.args[0]
+    if isinstance(index, ast.Constant) and type(index.value) is int:
+        return call.func.attr if index.value == 0 else None
+    return None
+
+
+@rule("quadratic-pop")
+def check_quadratic_pop(project: Project) -> list[Finding]:
+    """``.pop(0)`` / ``.insert(0, x)`` on a list held in object state.
+
+    Both shift every remaining element, so a FIFO kept in a list costs
+    O(queue length) per packet (the PIAS round-robin, pFabric's rtx
+    queue and pHost's token deadlines all did) — use
+    ``collections.deque``.  Scope: ``src/repro/``, receivers rooted at
+    ``self`` or a local name bound to such an attribute.  A scratch
+    list built inside the call is bounded by that call and stays
+    silent, as does ``pop(0, default)`` (a dict).
+    """
+    out: list[Finding] = []
+    for mod in project.modules:
+        if not mod.rel.startswith("src/repro/"):
+            continue
+        for qual, fn in mod.functions.items():
+            own = [n for n in ast.walk(fn) if mod.scope_of(n) == qual]
+            aliases = {
+                target.id
+                for node in own
+                if isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Attribute)
+                and _rooted_at_self(node.value)
+                for target in node.targets
+                if isinstance(target, ast.Name)
+            }
+            for node in own:
+                method = _front_shift(node)
+                if method is None:
+                    continue
+                receiver = node.func.value
+                if not (
+                    _rooted_at_self(receiver)
+                    or isinstance(receiver, ast.Name)
+                    and receiver.id in aliases
+                ):
+                    continue
+                text = compact(receiver, 48)
+                out.append(
+                    Finding(
+                        rule="quadratic-pop",
+                        path=mod.rel,
+                        line=node.lineno,
+                        scope=qual,
+                        detail=f"{method}:{text}",
+                        message=(
+                            f"{text}.{method}(0{', ...' * (method == 'insert')}) "
+                            f"shifts the whole list on every call; keep the "
+                            f"queue in a collections.deque"
+                        ),
+                    )
+                )
     return out

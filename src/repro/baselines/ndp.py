@@ -33,6 +33,7 @@ bounded give-up budget.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappop, heappush
 from typing import Optional
 
 from repro.core.engine import Simulator
@@ -54,12 +55,13 @@ DATA_PRIO = 0
 class _NdpFlow:
     """Sender-side state: pull allowance plus a retransmission queue."""
 
-    __slots__ = ("msg", "pull_budget", "rtx")
+    __slots__ = ("msg", "pull_budget", "rtx", "marked")
 
     def __init__(self, msg: OutboundMessage) -> None:
         self.msg = msg
         self.pull_budget = 0
         self.rtx: deque[tuple[int, int]] = deque()
+        self.marked = False  # key is in the transport's ``_ready`` heap
 
     def sendable(self) -> bool:
         if self.rtx and self.pull_budget > 0:
@@ -81,6 +83,10 @@ class NdpTransport(Transport):
         self.first_window = -(-rtt_bytes // MAX_PAYLOAD) * MAX_PAYLOAD
         self.pull_interval_ps = FULL_WIRE * ps_per_byte(host_gbps)
         self.flows: dict[int, _NdpFlow] = {}
+        # Heap of the keys of flows that may be sendable (marked at
+        # creation, PULL, NACK, blind rtx; the pull verifies).  Keys come
+        # from one counter, so the smallest is the flow created first.
+        self._ready: list[int] = []
         self.inbound: dict[int, InboundMessage] = {}
         # Receiver pull ring: flow keys needing pulls, round robin.
         self._pull_ring: deque[int] = deque()
@@ -100,19 +106,30 @@ class NdpTransport(Transport):
         msg = OutboundMessage(self.sim.new_id(), True, self.hid, dst, length,
                               unsched_limit=self.first_window,
                               created_ps=self.sim.now)
-        self.flows[msg.key] = _NdpFlow(msg)
+        flow = self.flows[msg.key] = _NdpFlow(msg)
+        self._mark(flow)
         if self._flow_watch is not None:
             self._flow_watch.watch(msg.key)
         self.kick()
         return msg
 
+    def _mark(self, flow: _NdpFlow) -> None:
+        """``flow`` may have become sendable."""
+        if not flow.marked:
+            flow.marked = True
+            heappush(self._ready, flow.msg.key)
+
     def _next_data(self) -> Optional[Packet]:
         # FIFO across flows (NDP senders do not prioritize: the paper
         # calls out the resulting head-of-line blocking).
-        for flow in self.flows.values():
-            if not flow.sendable():
-                continue
-            return self._emit(flow)
+        ready = self._ready
+        while ready:
+            flow = self.flows.get(ready[0])
+            if flow is not None:
+                if flow.sendable():
+                    return self._emit(flow)
+                flow.marked = False
+            heappop(ready)
         return None
 
     def _emit(self, flow: _NdpFlow) -> Packet:
@@ -236,6 +253,7 @@ class NdpTransport(Transport):
         if flow is None:
             return
         flow.pull_budget += 1
+        self._mark(flow)
         if self._flow_watch is not None:
             self._flow_watch.touch(pkt.msg_key)
         self.kick()
@@ -247,6 +265,7 @@ class NdpTransport(Transport):
         self.nacks_received += 1
         size = min(MAX_PAYLOAD, flow.msg.length - pkt.offset)
         flow.rtx.append((pkt.offset, size))
+        self._mark(flow)
         if self._flow_watch is not None:
             self._flow_watch.touch(pkt.msg_key)
         self.kick()
@@ -291,6 +310,7 @@ class NdpTransport(Transport):
         # on a packet the fabric destroyed.
         flow.pull_budget += 1
         flow.rtx.appendleft((offset, size))
+        self._mark(flow)
         self.kick()
 
     def _flow_give_up(self, key: int) -> None:

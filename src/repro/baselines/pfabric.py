@@ -30,6 +30,7 @@ recently completed messages.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Optional
 
 from repro.core.engine import Simulator
@@ -78,7 +79,7 @@ class PfabricTransport(Transport):
         self.rto_ps = 3 * rtt_ps             # pFabric uses a small RTO
         self.flows: dict[int, _PfabricFlow] = {}
         self.inbound: dict[int, InboundMessage] = {}
-        self._rtx_queue: list[tuple[_PfabricFlow, int, int]] = []
+        self._rtx_queue: deque[tuple[_PfabricFlow, int, int]] = deque()
         self._timer = None
         self.retransmissions = 0
         self.probes_sent = 0
@@ -101,7 +102,7 @@ class PfabricTransport(Transport):
         # Retransmissions first (they are the most urgent by SRPT since
         # their flows have the least un-acked data left).
         while self._rtx_queue:
-            flow, offset, size = self._rtx_queue.pop(0)
+            flow, offset, size = self._rtx_queue.popleft()
             if flow.msg.key not in self.flows:
                 continue
             if flow.msg.acked.covers(offset, offset + size):

@@ -29,6 +29,7 @@ the message on both sides.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Optional
 
 from repro.core.engine import Simulator
@@ -53,17 +54,20 @@ class _TokenBucket:
     __slots__ = ("deadlines",)
 
     def __init__(self) -> None:
-        self.deadlines: list[int] = []
+        #: in expiry order: every token lives the same fixed ttl
+        self.deadlines: deque[int] = deque()
 
     def add(self, expiry_ps: int) -> None:
         self.deadlines.append(expiry_ps)
 
     def usable(self, now_ps: int) -> int:
-        self.deadlines = [d for d in self.deadlines if d >= now_ps]
-        return len(self.deadlines)
+        deadlines = self.deadlines
+        while deadlines and deadlines[0] < now_ps:
+            deadlines.popleft()
+        return len(deadlines)
 
     def spend(self) -> None:
-        self.deadlines.pop(0)
+        self.deadlines.popleft()
 
 
 class PHostTransport(Transport):

@@ -39,6 +39,7 @@ from repro.core.engine import Simulator
 from repro.core.packet import MAX_PAYLOAD, N_PRIORITIES, Packet, PacketType
 from repro.transport.base import RecoveryConfig, Transport
 from repro.transport.messages import InboundMessage, OutboundMessage
+from repro.transport.rotation import ReadyRing
 from repro.workloads.distributions import EmpiricalCDF
 
 #: DCTCP gain for the alpha estimator
@@ -66,7 +67,7 @@ class _PiasFlow:
     __slots__ = ("msg", "cwnd", "ssthresh", "alpha", "acked_prefix",
                  "window_sent", "window_marked", "window_end",
                  "dup_acks", "last_send_ps", "recovery_until",
-                 "rec_rounds", "next_rto_ps", "high_water")
+                 "rec_rounds", "next_rto_ps", "high_water", "ring_pos")
 
     def __init__(self, msg: OutboundMessage) -> None:
         self.msg = msg
@@ -107,7 +108,9 @@ class PiasTransport(Transport):
         self.thresholds = thresholds
         self.rto_ps = min_rto_ps or max(20 * rtt_ps, 200_000_000)  # >=200 us
         self.flows: dict[int, _PiasFlow] = {}
-        self._rr: list[int] = []  # round-robin order of flow keys
+        # NIC round-robin over the live flows, marked where they can become
+        # sendable: creation, an ACK moving acked_prefix/cwnd, go-back-N.
+        self._rr = ReadyRing()
         self.inbound: dict[int, InboundMessage] = {}
         self._timer = None
         self.retransmissions = 0
@@ -145,7 +148,7 @@ class PiasTransport(Transport):
                               unsched_limit=length, created_ps=self.sim.now)
         flow = _PiasFlow(msg)
         self.flows[msg.key] = flow
-        self._rr.append(msg.key)
+        self._rr.add(flow)
         self._ensure_timer()
         self.kick()
         return msg
@@ -153,15 +156,8 @@ class PiasTransport(Transport):
     def _next_data(self) -> Optional[Packet]:
         # Round-robin across flows with window room (no SRPT: PIAS is
         # information-agnostic at the sender).
-        for _ in range(len(self._rr)):
-            key = self._rr.pop(0)
-            flow = self.flows.get(key)
-            if flow is None:
-                continue
-            self._rr.append(key)
-            if flow.can_send():
-                return self._emit(flow)
-        return None
+        flow = self._rr.pull(_PiasFlow.can_send)
+        return self._emit(flow) if flow is not None else None
 
     def _emit(self, flow: _PiasFlow) -> Packet:
         msg = flow.msg
@@ -185,7 +181,13 @@ class PiasTransport(Transport):
         """Go-back-N from the acked prefix."""
         self.retransmissions += 1
         flow.msg.sent = offset
+        self._rr.mark(flow)
         self.kick()
+
+    def _retire(self, flow: _PiasFlow) -> None:
+        """Fully acked or given up: drop the sender state."""
+        del self.flows[flow.msg.key]
+        self._rr.remove(flow)
 
     # ------------------------------------------------------------------
     # receiving
@@ -274,7 +276,9 @@ class PiasTransport(Transport):
                 flow.recovery_until = self.sim.now + self.rto_ps // 8
                 self._retransmit_from(flow, flow.acked_prefix)
         if flow.acked_prefix >= msg.length:
-            self.flows.pop(msg.key, None)
+            self._retire(flow)
+        elif advanced:
+            self._rr.mark(flow)
         self.kick()
 
     # ------------------------------------------------------------------
@@ -302,7 +306,7 @@ class PiasTransport(Transport):
                         continue
                     flow.rec_rounds += 1
                     if flow.rec_rounds > self.recovery.max_tries:
-                        self.flows.pop(flow.msg.key, None)
+                        self._retire(flow)
                         self.outbound_gaveups += 1
                         continue
                     backoff = self.rto_ps * (

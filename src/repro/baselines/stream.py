@@ -34,12 +34,13 @@ from repro.core.engine import Simulator
 from repro.core.packet import CTRL_PRIO, Packet, PacketType
 from repro.transport.base import RecoveryConfig, Transport
 from repro.transport.messages import InboundMessage, OutboundMessage
+from repro.transport.rotation import ReadyRing
 
 
 class _Connection:
     """One direction of one byte-stream connection."""
 
-    __slots__ = ("peer", "index", "queue", "in_flight", "window")
+    __slots__ = ("peer", "index", "queue", "in_flight", "window", "ring_pos")
 
     def __init__(self, peer: int, index: int, window: int) -> None:
         self.peer = peer
@@ -71,7 +72,9 @@ class StreamTransport(Transport):
         self.connections_per_pair = connections_per_pair
         self.connections: dict[int, list[_Connection]] = {}
         self._rr: dict[int, int] = {}  # per-destination assignment RR
-        self._ring: deque[_Connection] = deque()  # NIC service RR
+        # NIC service RR; a connection is marked wherever it can become
+        # sendable (a message joins its queue, ``in_flight`` falls).
+        self._ring = ReadyRing()
         self.inbound: dict[int, InboundMessage] = {}
         # RPC support (for the echo benchmarks).
         self.rpc_handler = None
@@ -92,7 +95,8 @@ class StreamTransport(Transport):
             conns = [_Connection(dst, i, self.window_bytes)
                      for i in range(self.connections_per_pair)]
             self.connections[dst] = conns
-            self._ring.extend(conns)
+            for conn in conns:
+                self._ring.add(conn)
         index = self._rr.get(dst, 0)
         self._rr[dst] = (index + 1) % len(conns)
         return conns[index]
@@ -106,6 +110,7 @@ class StreamTransport(Transport):
                               created_ps=self.sim.now, app_meta=app_meta)
         conn = self._connection_for(dst)
         conn.queue.append(msg)
+        self._ring.mark(conn)
         if self._out_watch is not None:
             self._sent_msgs[msg.key] = msg
             self._msg_conn[msg.key] = conn
@@ -125,13 +130,7 @@ class StreamTransport(Transport):
         # The NIC serves connections round-robin (per-connection fair
         # queueing); within a connection, strict FIFO — that FIFO is the
         # HOL-blocking source the paper measures.
-        best: Optional[_Connection] = None
-        for _ in range(len(self._ring)):
-            conn = self._ring[0]
-            self._ring.rotate(-1)
-            if conn.sendable():
-                best = conn
-                break
+        best: Optional[_Connection] = self._ring.pull(_Connection.sendable)
         if best is None:
             return None
         msg = best.queue[0]
@@ -218,6 +217,7 @@ class StreamTransport(Transport):
             return
         conn = conns[pkt.grant_offset % len(conns)]
         conn.in_flight = max(0, conn.in_flight - pkt.range_end)
+        self._ring.mark(conn)
         if self._out_watch is not None:
             key = pkt.msg_key
             msg = self._sent_msgs.get(key)
@@ -263,6 +263,7 @@ class StreamTransport(Transport):
             # Retransmissions jump the FIFO: the message already paid
             # its HOL-blocking dues on first transmission.
             conn.queue.appendleft(msg)
+        self._ring.mark(conn)
         self.kick()
 
     def _rtx_give_up(self, key: int) -> None:
@@ -280,6 +281,7 @@ class StreamTransport(Transport):
                 pass
             conn.in_flight = max(
                 0, conn.in_flight - max(0, msg.sent - msg.acked.total))
+            self._ring.mark(conn)
         if msg.is_request:
             cbs = self._client_cbs.pop(msg.rpc_id, None)
             if cbs is not None and cbs[1] is not None:

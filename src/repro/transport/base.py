@@ -252,12 +252,15 @@ class Transport:
         if self.recovery is None:
             return
         memory = self._done_memory
-        memory.pop(key, None)  # re-insert at the back (expiry order)
-        memory[key] = self.sim.now + self._done_horizon_ps
         now = self.sim.now
-        for old_key, expiry in list(memory.items()):
+        memory.pop(key, None)  # re-insert at the back (expiry order)
+        memory[key] = now + self._done_horizon_ps
+        expired = []
+        for old_key, expiry in memory.items():
             if expiry >= now:
                 break
+            expired.append(old_key)
+        for old_key in expired:
             del memory[old_key]
 
     def _recently_done(self, key: int) -> bool:

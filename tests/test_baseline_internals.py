@@ -36,7 +36,7 @@ def test_token_bucket_spend_consumes_oldest():
     bucket.add(200)
     bucket.spend()
     assert bucket.usable(0) == 1
-    assert bucket.deadlines == [200]
+    assert list(bucket.deadlines) == [200]
 
 
 # ---------------------------------------------------------------------------

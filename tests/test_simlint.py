@@ -49,6 +49,7 @@ def test_every_rule_has_fixture_coverage():
         "det-float-time-eq",
         "fault-determinism",
         "hot-alloc",
+        "quadratic-pop",
         "payload-roundtrip",
         "doc-drift",
         "registry-hooks",
@@ -353,6 +354,77 @@ def test_hot_alloc_pragma_waives():
         rules=["hot-alloc"],
         hot_manifest=HOT_MANIFEST,
     )
+    assert result.findings == []
+    assert len(result.waived) == 1
+
+
+def test_hot_manifest_names_the_baseline_sender_pulls():
+    """The per-pull functions of the streaming / PIAS / NDP senders are
+    under the hot-alloc rule (and the stale check keeps them honest)."""
+    from repro.analysis.rules_hotpath import HOT_FUNCTIONS
+
+    assert HOT_FUNCTIONS["src/repro/transport/rotation.py"] == {
+        "ReadyRing.mark", "ReadyRing.pull"}
+    assert {"_Connection.sendable", "StreamTransport._next_data"} <= (
+        HOT_FUNCTIONS["src/repro/baselines/stream.py"])
+    for rel, cls in (("pias", "PiasTransport"), ("ndp", "NdpTransport")):
+        assert {f"{cls}._next_data", f"{cls}._emit"} <= (
+            HOT_FUNCTIONS[f"src/repro/baselines/{rel}.py"])
+
+
+# -- quadratic-pop ------------------------------------------------------
+
+QUEUE_IN_A_LIST = """
+    class Sender:
+        def pull(self):
+            key = self._rr.pop(0)
+            self.conn.queue.insert(0, key)
+            ring = self._rr
+            return ring.pop(0)
+    """
+
+
+def test_quadratic_pop_flags_front_shifts_on_object_state():
+    hits = rule_hits(QUEUE_IN_A_LIST, "quadratic-pop",
+                     rel="src/repro/baselines/snippet.py")
+    assert [f.detail for f in hits] == [
+        "pop:self._rr", "insert:self.conn.queue", "pop:ring"]
+    assert all(f.scope == "Sender.pull" for f in hits)
+    assert "collections.deque" in hits[0].message
+
+
+def test_quadratic_pop_ignores_deques_dicts_scratch_lists_and_tests():
+    src = """
+        import sys
+
+        class Sender:
+            def pull(self, xs):
+                self.queue.popleft()
+                self.queue.pop()
+                self.queue.pop(-1)
+                self.queue.insert(1, 0)
+                self.flows.pop(0, None)      # a dict keyed by 0
+                self.queue.pop(False)
+                scratch = sorted(xs)
+                scratch.insert(0, None)      # bounded by this call
+                sys.path.insert(0, "bench")
+                return scratch.pop(0)
+        """
+    assert rule_hits(src, "quadratic-pop",
+                     rel="src/repro/baselines/snippet.py") == []
+    assert rule_hits(QUEUE_IN_A_LIST, "quadratic-pop",
+                     rel="tests/snippet.py") == []
+
+
+def test_quadratic_pop_pragma_waives():
+    src = """
+        class Sender:
+            def pull(self):
+                return self.two.pop(0)  # simlint: ok(quadratic-pop) — fixture: never more than two entries
+        """
+    result = analyze_source(textwrap.dedent(src),
+                            rel="src/repro/baselines/snippet.py",
+                            rules=["quadratic-pop"])
     assert result.findings == []
     assert len(result.waived) == 1
 
