@@ -1,9 +1,9 @@
 """Determinism rules.
 
 The repo's headline contract is byte-identical slowdown digests across
-engine modes (see docs/PERFORMANCE.md).  Everything here exists to keep
-nondeterminism out of the event core statically, before a digest test
-can catch it dynamically:
+every refactor of the event core (see docs/PERFORMANCE.md).  Everything
+here exists to keep nondeterminism out of that core statically, before
+a digest test can catch it dynamically:
 
 * ``det-unseeded-rng``   — global/unseeded random sources, anywhere.
 * ``det-wallclock``      — wall-clock reads inside simulation packages.
@@ -317,8 +317,8 @@ def check_float_time_eq(project: Project) -> list[Finding]:
     """No float ``==``/``!=`` against ``_ps`` timestamps in src/repro.
 
     Simulated time is *integer* picoseconds precisely so equality is
-    exact (the engine's event comparators and cut-through chaining rely
-    on it).  Comparing a ``_ps`` value against a float literal, a true
+    exact (the engine's event comparators and arrival fusion rely on
+    it).  Comparing a ``_ps`` value against a float literal, a true
     division, or ``float(...)`` re-introduces rounding: two events meant
     to coincide stop comparing equal.  Use integer arithmetic (``//``,
     ``units.ns_to_ps``) on both sides.

@@ -2,9 +2,9 @@
 
 ``HOT_FUNCTIONS`` is a manifest of the functions that run per event /
 per packet in the canonical 144-host benches: the event loop and
-schedulers, port enqueue/dequeue, the Homa grant path, and cut-through
-chaining.  Inside those functions we flag constructs that allocate or
-pay per call:
+schedulers, port enqueue/dequeue, the fused switch ingress, the packet
+pool, the Homa grant path, and the baseline senders' NIC pulls.  Inside
+those functions we flag constructs that allocate or pay per call:
 
 * nested ``def`` / ``lambda``   — a fresh closure object per call;
 * comprehensions / genexps      — a fresh list/set/dict/generator + an
@@ -73,20 +73,6 @@ HOT_FUNCTIONS: dict[str, frozenset[str]] = {
             "PacketPool.alloc_data",
             "PacketPool.alloc_ctrl",
             "PacketPool.free",
-        }
-    ),
-    "src/repro/core/cutthrough.py": frozenset(
-        {
-            "precedes",
-            "_earlier",
-            "_wire_done",
-            "_launch",
-            "run_late_mats",
-            "_mat_done",
-            "_install",
-            "plan_from_tor",
-            "plan_from_aggr",
-            "plan_local",
         }
     ),
     "src/repro/homa/transport.py": frozenset(

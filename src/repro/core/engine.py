@@ -138,10 +138,9 @@ class Simulator:
     def schedule_at1(self, time_ps: int, fn: Callable, arg: Any) -> Event:
         """``schedule_at`` specialised to one non-None, non-tuple argument.
 
-        Used by the cut-through fast path (core/cutthrough.py) for
-        chain continuations at analytically computed absolute times —
-        never in the past (same-instant re-arms are allowed), so no
-        past-check is needed.
+        Used by ``FaultInjector.arm`` (core/faults.py), which files its
+        validated non-negative fault times when the network is built at
+        time zero — never in the past, so no past-check is needed.
         """
         self._seq += 1
         event: Event = [time_ps, self._seq, fn, arg]

@@ -26,10 +26,6 @@ TRIMMED_WIRE = MIN_WIRE    # NDP header-only packet
 #: number of switch priority levels (modern switches: typically 8)
 N_PRIORITIES = 8
 
-#: ``Packet.alloc_ps`` sentinel: the transmission-start site could not
-#: know its allocator's allocation instant (compares later than any
-#: real instant, so cut-through deep ties default to the chain)
-ALLOC_UNKNOWN = 1 << 62
 #: priority used by control packets (GRANT/RESEND/... are sent highest)
 CTRL_PRIO = N_PRIORITIES - 1
 
@@ -90,9 +86,7 @@ class Packet:
         "rpc_id", "is_request", "offset", "payload", "wire",
         "total_length", "sched", "retx", "incast", "ecn", "trimmed",
         "grant_offset", "grant_prio", "range_end", "cutoffs", "app_meta",
-        "created_ps", "tx_start_ps", "alloc_ps", "alloc2_ps", "alloc3_ps",
-        "arrival_ps", "rank_seq", "prev_arrival_ps", "prev_rank_seq",
-        "q_wait", "p_wait", "msg_key", "pool", "slot",
+        "created_ps", "q_wait", "p_wait", "msg_key", "pool", "slot",
     )
 
     def __init__(
@@ -145,40 +139,6 @@ class Packet:
         self.cutoffs = cutoffs
         self.app_meta = app_meta
         self.created_ps = created_ps
-        # Start instant of the packet's current/most recent real
-        # transmission, stamped by every port transmit site.  This is
-        # when the slow path allocates the packet's tx-done event seq,
-        # which is what cut-through start-tie resolution compares
-        # (see core/cutthrough.py).
-        self.tx_start_ps = 0
-        # Allocation instant of the event that *started* the current
-        # transmission: the funnel point for a pass-through hop, the
-        # prior packet's transmission start for a dequeued one.  This
-        # is the second tie level — the slow path compares allocator
-        # seqs, and seq order is allocation-time order.  ALLOC_UNKNOWN
-        # where the start site cannot know (kick-started NIC sends,
-        # resumed preemptions): ties then default to the chain.
-        self.alloc_ps = ALLOC_UNKNOWN
-        # Two more allocator levels up the same lineage (the allocator
-        # of the allocator, and one deeper), maintained by shifting at
-        # the transmit sites: a pass-through hop inherits the packet's
-        # own previous-hop history, a dequeued one copies the prior
-        # packet's.  Deep same-instant ties walk these.
-        self.alloc2_ps = ALLOC_UNKNOWN
-        self.alloc3_ps = ALLOC_UNKNOWN
-        # Landing time and event seq of the packet's most recent
-        # *scheduled* arrival (stamped by the switch ingresses), plus
-        # the previous hop's pair (shifted on each stamp).  When a
-        # start-tie's transmission starts also coincide, these break
-        # the next level: ``prev_arrival_ps == tx_start_ps`` identifies
-        # a pass-through interloper, and ``prev_rank_seq`` orders the
-        # arrival that launched that transmission against the chain's
-        # plan — both allocated at the same funnel instant, so seq
-        # order replays the slow path's (see core/cutthrough.py).
-        self.arrival_ps = 0
-        self.rank_seq = 0
-        self.prev_arrival_ps = 0
-        self.prev_rank_seq = 0
         self.q_wait = 0
         self.p_wait = 0
         # Pool identity: set once per slot by core/pool.py when the

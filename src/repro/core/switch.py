@@ -83,11 +83,3 @@ class Switch:
             self.sim.schedule1(self.delay_ps, port.enqueue_cb, pkt)
         else:
             port.enqueue(pkt)
-
-    def _forward(self, pkt: Packet) -> None:
-        port = self.route(pkt)
-        if port is None:
-            self.routed_drops += 1
-            free_packet(pkt)
-            return
-        port.enqueue(pkt)

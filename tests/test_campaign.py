@@ -91,7 +91,7 @@ def test_payload_round_trip_covers_every_field():
         hosts_per_rack=3, aggrs=1, duration_ms=2.5, warmup_ms=0.5,
         drain_ms=1.5, seed=7, mode="rpc_echo", max_messages=9,
         homa=HomaConfig(n_prios=4, cutoff_override=(100, 16129)),
-        collect=("queues",), net_overrides={"cut_through": True},
+        collect=("queues",), net_overrides={"preemptive_links": True},
         fabric=TopologySpec(
             levels=3, pods=2, racks=2, hosts_per_rack=4, aggrs=2,
             cores=4, host_gbps=10, aggr_gbps=25, core_gbps=100,

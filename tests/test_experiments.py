@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.topology import TopologySpec
 from repro.experiments.maxload import find_max_load
 from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.experiments.scale import (
@@ -102,6 +103,19 @@ def test_runner_net_overrides_applied():
         net_overrides={"preemptive_links": True},
         max_messages=100))
     assert result.finish_rate > 0.9
+
+
+@pytest.mark.parametrize("fabric", [
+    None,                                              # canonical Network
+    TopologySpec(levels=3, pods=2, racks=1, hosts_per_rack=2,
+                 aggrs=1, cores=1),                    # FabricNetwork
+], ids=["network", "fabric_network"])
+def test_runner_rejects_removed_cut_through_override(fabric):
+    """The ``cut_through`` mode is gone (docs/PERFORMANCE.md); its knob
+    must fail loudly on both builders, not come back as an ignored key."""
+    with pytest.raises(TypeError, match="cut_through"):
+        run_experiment(quick_base(net_overrides={"cut_through": True},
+                                  fabric=fabric))
 
 
 def test_paper_scale_helper():

@@ -78,10 +78,13 @@ def run_farm_with_workers(specs, tmp_path, *, workers=2, die_after=None,
     kw.setdefault("cache_dir", tmp_path / "cache")
     kw.setdefault("journal_dir", tmp_path / "journal")
     kw.setdefault("quiet", True)
-    out = farm.run_farm(specs, on_listening=on_listening, **kw)
-    for t in threads:
-        t.join(timeout=30)
-    return out
+    try:
+        return farm.run_farm(specs, on_listening=on_listening, **kw)
+    finally:
+        # Also when run_farm raises (FarmInterrupted): callers count
+        # threads afterwards, and a worker may still be unwinding.
+        for t in threads:
+            t.join(timeout=30)
 
 
 # -- wire protocol -------------------------------------------------------

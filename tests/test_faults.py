@@ -14,20 +14,15 @@ Covers the fault-injection PR's contracts end to end:
   ``fault_drops``, reroutes the spray sets, black-holes routeless
   packets, and messages in flight across a transient outage still
   complete via RESENDs.
-* **Guard rails** — unknown fault targets, malformed events/rates, the
-  ``LOSS_VALIDATED`` protocol gate, and the cut-through exclusions all
-  fail loudly, naming the offending field.
+* **Guard rails** — unknown fault targets, malformed events/rates and
+  the ``LOSS_VALIDATED`` protocol gate all fail loudly, naming the
+  offending field.
 """
 
 import pytest
 
 from repro.core.engine import Simulator
-from repro.core.faults import (
-    FaultEvent,
-    FaultInjector,
-    LossRates,
-    install_loss,
-)
+from repro.core.faults import FaultEvent, FaultInjector, LossRates
 from repro.core.packet import PacketType
 from repro.core.topology import FabricNetwork, Network, TopologySpec
 from repro.core.units import MS, US
@@ -386,18 +381,6 @@ def test_validated_protocols_accept_clean_specs():
         protocol="pfabric", fabric=spec, workload="W1", load=0.3,
         duration_ms=0.2, warmup_ms=0.0, drain_ms=0.3, seed=2))
     assert result.submitted > 0
-
-
-def test_install_loss_rejects_cut_through():
-    sim, net = small_net(racks=2, hosts_per_rack=2, aggrs=1,
-                         cut_through=True)
-    with pytest.raises(ValueError, match="cut_through"):
-        install_loss(net, LossRates(tor=0.1), seed=1)
-
-
-def test_fabric_network_rejects_cut_through_override():
-    with pytest.raises(ValueError, match="cut_through"):
-        FabricNetwork(Simulator(), NARROW3, cut_through=True)
 
 
 # ---------------------------------------------------------------------------

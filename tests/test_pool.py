@@ -81,27 +81,18 @@ def test_free_packet_helper_ignores_unpooled():
 
 
 def test_recycled_slot_matches_constructor_state():
-    """Allocate, scribble over every flight-mutable field, free, then
-    re-allocate: the recycled packet must be field-for-field identical
-    to a freshly constructed one."""
+    """Allocate, scribble over every field, free, then re-allocate: the
+    recycled packet must be field-for-field identical to a freshly
+    constructed one.  The scribble walks ``Packet.__slots__``, so a new
+    slot that ``free``/``alloc_*`` forget to reset fails here without
+    anyone editing this test."""
     pool = PacketPool(prealloc=1)
     pkt = pool.alloc_data(3, 9, 5, 1460, 77, True, 2920, 9999,
                           True, False, False, None, 4380, 123456)
-    # Simulate in-flight mutation by ports/switches/cut-through.
-    pkt.ecn = True
-    pkt.trimmed = True
-    pkt.q_wait = 11
-    pkt.p_wait = 22
-    pkt.tx_start_ps = 33
-    pkt.alloc_ps = 44
-    pkt.alloc2_ps = 55
-    pkt.alloc3_ps = 66
-    pkt.arrival_ps = 77
-    pkt.rank_seq = 88
-    pkt.prev_arrival_ps = 99
-    pkt.prev_rank_seq = 111
-    pkt.cutoffs = (1, 2, 3)
-    pkt.app_meta = object()
+    scribble = object()
+    for field in Packet.__slots__:
+        if field not in ("pool", "slot"):
+            setattr(pkt, field, scribble)
     pool.free(pkt)
     args = (4, 8, 6, 900, 55, False, 1460, 5000,
             False, True, True, None, 2920, 654321)
