@@ -49,15 +49,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
         edges,
         {"p50": result.tracker.series(edges, 50),
          "p99": result.tracker.series(edges, 99)}))
+    measured = result.tracker.count
+    p50, p99 = (f"{result.tracker.overall(pct):.2f}" if measured else "n/a"
+                for pct in (50, 99))
     print(kv_table("run summary", [
-        ("messages measured", str(result.tracker.count)),
+        ("messages measured", str(measured)),
         ("submitted / completed", f"{result.submitted} / {result.completed}"),
         ("finish rate", f"{result.finish_rate:.3f}"),
-        ("overall p50 slowdown", f"{result.tracker.overall(50):.2f}"),
-        ("overall p99 slowdown", f"{result.tracker.overall(99):.2f}"),
+        ("overall p50 slowdown", p50),
+        ("overall p99 slowdown", p99),
         ("events simulated", f"{result.events:,}"),
         ("wall time", f"{result.wall_seconds:.1f}s"),
     ]))
+    if not measured:
+        print("error: no message created after the warm-up completed, so "
+              "nothing was measured; lower --warmup-ms or raise "
+              "--duration-ms / --max-messages", file=sys.stderr)
+        return 1
     return 0
 
 

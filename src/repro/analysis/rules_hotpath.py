@@ -3,8 +3,9 @@
 ``HOT_FUNCTIONS`` is a manifest of the functions that run per event /
 per packet in the canonical 144-host benches: the event loop and
 schedulers, port enqueue/dequeue, the fused switch ingress, the packet
-pool, the Homa grant path, and the baseline senders' NIC pulls.  Inside
-those functions we flag constructs that allocate or pay per call:
+pool, the Homa grant path, the baseline senders' NIC pulls, and the
+per-message sample recording.  Inside those functions we flag constructs
+that allocate or pay per call:
 
 * nested ``def`` / ``lambda``   — a fresh closure object per call;
 * comprehensions / genexps      — a fresh list/set/dict/generator + an
@@ -125,6 +126,15 @@ HOT_FUNCTIONS: dict[str, frozenset[str]] = {
             "NdpTransport._mark",
             "NdpTransport._next_data",
             "NdpTransport._emit",
+        }
+    ),
+    # Once per completed message: the typed sample columns stay free of
+    # per-sample objects only while nothing here builds one.
+    "src/repro/metrics/slowdown.py": frozenset(
+        {
+            "SlowdownTracker.record_oneway",
+            "SlowdownTracker.record_rpc",
+            "SlowdownTracker._push",
         }
     ),
 }

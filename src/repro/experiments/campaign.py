@@ -441,7 +441,8 @@ def slowdown_digest(results: Mapping[Hashable, ExperimentResult]) -> str:
     lines = []
     for key in sorted(results, key=repr):
         result = results[key]
-        p50 = ",".join(repr(v) for v in result.slowdown_series(50))
-        p99 = ",".join(repr(v) for v in result.slowdown_series(99))
+        report = result.tracker.bucket_report(result.bucket_edges())
+        p50 = ",".join(repr(b.p50) for b in report)
+        p99 = ",".join(repr(b.p99) for b in report)
         lines.append(f"{key!r} p50=[{p50}] p99=[{p99}]")
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()

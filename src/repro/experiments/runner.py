@@ -150,7 +150,9 @@ class ExperimentResult:
         float round-trips exactly — scalars through json's repr, the
         per-message samples as the tracker's packed float64 column — so
         slowdown digests of a rehydrated result are byte-identical to
-        the original."""
+        the original.  ``from_payload`` holds the samples as the same two
+        typed columns the live tracker records into (16 bytes a sample,
+        no per-sample object); everything else is a few scalars."""
         return {
             "cfg": self.cfg.to_payload(),
             "tracker": self.tracker.to_payload(),

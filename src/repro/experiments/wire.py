@@ -13,7 +13,9 @@ JSON objects, so farmed results are byte-identical to local ones.
 Scalar floats round-trip via ``repr``; the bulky per-message sample
 columns are base64 strings of packed little-endian int64s/doubles that
 only ``SlowdownTracker`` reads (``jq -r .payload.tracker.slowdowns |
-base64 -d | od -A n -t f8`` prints one).  A malformed line is a
+base64 -d | od -A n -t f8`` prints one) — into two typed ``array``
+columns, so a decoded result holds those same 16 bytes a sample and no
+per-sample object.  A malformed line is a
 :class:`ProtocolError` — a per-connection failure the coordinator can
 answer by dropping that worker, never a deserialized surprise.
 """

@@ -36,15 +36,15 @@ class BucketStats:
                 f"{self.p50:>8.2f} {self.p99:>9.2f} {self.mean:>8.2f}")
 
 
-def _pack(typecode: str, values: list) -> str:
+def _pack(column: array) -> str:
     """One sample column as base64 of its little-endian 8-byte items."""
-    column = array(typecode, values)
     if sys.byteorder == "big":
+        column = array(column.typecode, column)   # never swap the live one
         column.byteswap()
-    return b64encode(column.tobytes()).decode("ascii")
+    return b64encode(column).decode("ascii")
 
 
-def _unpack(name: str, typecode: str, text: object) -> list:
+def _unpack(name: str, typecode: str, text: object) -> array:
     """Inverse of :func:`_pack`; ``ValueError`` names the bad column."""
     if not isinstance(text, str):
         raise ValueError(f"tracker column {name!r} must be a base64 string, "
@@ -62,11 +62,15 @@ def _unpack(name: str, typecode: str, text: object) -> list:
     column.frombytes(raw)
     if sys.byteorder == "big":
         column.byteswap()
-    return column.tolist()
+    return column
 
 
 class SlowdownTracker:
     """Records per-message slowdowns and produces bucketed reports.
+
+    Samples live in two typed columns, ``sizes`` (``array('q')``) and
+    ``slowdowns`` (``array('d')``): 16 bytes a message, no per-sample
+    object, from the first ``record_*`` through the payload to the report.
 
     A tracker rehydrated from :meth:`from_payload` has ``net=None``:
     it can report (``series``/``overall``/``bucket_report``) but not
@@ -78,8 +82,8 @@ class SlowdownTracker:
                  warmup_ps: int = 0) -> None:
         self.net = net
         self.warmup_ps = warmup_ps
-        self.sizes: list[int] = []
-        self.slowdowns: list[float] = []
+        self.sizes = array("q")
+        self.slowdowns = array("d")
 
     def to_payload(self) -> dict:
         """Compact JSON-safe form.  The two sample columns are packed:
@@ -87,8 +91,8 @@ class SlowdownTracker:
         float64, each base64-encoded into one ASCII string, so the
         doubles survive bit-exactly and no JSON encoder walks them."""
         return {"warmup_ps": self.warmup_ps,
-                "sizes": _pack("q", self.sizes),
-                "slowdowns": _pack("d", self.slowdowns)}
+                "sizes": _pack(self.sizes),
+                "slowdowns": _pack(self.slowdowns)}
 
     @classmethod
     def from_payload(cls, payload: dict) -> "SlowdownTracker":
@@ -131,7 +135,7 @@ class SlowdownTracker:
         """Percentile of slowdown across all recorded messages."""
         if not self.slowdowns:
             raise ValueError("no messages recorded")
-        return float(np.percentile(self.slowdowns, percentile))
+        return float(np.percentile(np.frombuffer(self.slowdowns), percentile))
 
     def bucket_report(self, edges: list[int]) -> list[BucketStats]:
         """Stats per (edges[i], edges[i+1]] size bucket.
@@ -141,8 +145,10 @@ class SlowdownTracker:
         """
         if len(edges) < 2 or edges != sorted(edges):
             raise ValueError(f"bad bucket edges: {edges}")
-        sizes = np.asarray(self.sizes)
-        slowdowns = np.asarray(self.slowdowns)
+        # Zero-copy views, locals only: a view that outlived this call
+        # would pin the column and make the next append a BufferError.
+        sizes = np.frombuffer(self.sizes, dtype=np.int64)
+        slowdowns = np.frombuffer(self.slowdowns)
         report = []
         for i in range(len(edges) - 1):
             lo, hi = edges[i], edges[i + 1]
@@ -163,10 +169,11 @@ class SlowdownTracker:
         return report
 
     def series(self, edges: list[int], percentile: float) -> list[float]:
-        """One value per bucket: the figure's y series."""
-        report = self.bucket_report(edges)
+        """One value per bucket: the figure's y series (p50 or p99)."""
+        if percentile not in (50, 99):
+            raise ValueError(f"series reports p50 or p99, not {percentile!r}")
         key = "p99" if percentile == 99 else "p50"
-        return [getattr(b, key) for b in report]
+        return [getattr(b, key) for b in self.bucket_report(edges)]
 
 
 def bucket_index(edges: list[int], size: int) -> int:

@@ -3,6 +3,9 @@ scheduler's determinism, the on-disk cache, and max-load collation."""
 
 import dataclasses
 import json
+import shutil
+from array import array
+from pathlib import Path
 
 import pytest
 
@@ -108,8 +111,8 @@ def test_payload_round_trip_covers_every_field():
     assert back == cfg
 
     recorded = SlowdownTracker(None, warmup_ps=123)
-    recorded.sizes = [100, 200]
-    recorded.slowdowns = [1.5, 2.5]
+    recorded._push(100, 1.5)
+    recorded._push(200, 2.5)
     tracker = SlowdownTracker.from_payload(recorded.to_payload())
     result = ExperimentResult(
         cfg=cfg, tracker=tracker, submitted=5, completed=4, pending=1,
@@ -137,7 +140,8 @@ def test_payload_round_trip_covers_every_field():
         json.loads(json.dumps(result.to_payload())))
     assert back.to_payload() == result.to_payload()
     assert (back.tracker.warmup_ps, back.tracker.sizes,
-            back.tracker.slowdowns) == (123, [100, 200], [1.5, 2.5])
+            back.tracker.slowdowns) == (
+        123, array("q", [100, 200]), array("d", [1.5, 2.5]))
     assert back.cfg == cfg
     assert isinstance(back.delay_breakdown, tuple)
     assert isinstance(back.cfg.collect, tuple)
@@ -146,8 +150,8 @@ def test_payload_round_trip_covers_every_field():
 
 def test_tracker_from_payload_reports_without_net():
     tracker = SlowdownTracker(None)
-    tracker.sizes = [10, 20]
-    tracker.slowdowns = [1.5, 2.5]
+    tracker._push(10, 1.5)
+    tracker._push(20, 2.5)
     back = SlowdownTracker.from_payload(tracker.to_payload())
     assert back.overall(50) == 2.0
     assert back.count == 2
@@ -247,7 +251,7 @@ def test_version_1_cache_entry_is_a_miss_and_is_overwritten(tmp_path):
     tracker = first["cell"].tracker
     entry["version"] = 1
     entry["payload"]["tracker"].update(
-        sizes=tracker.sizes, slowdowns=[99.0] * tracker.count)
+        sizes=list(tracker.sizes), slowdowns=[99.0] * tracker.count)
     path.write_text(json.dumps(entry))
     assert campaign.ResultCache(tmp_path).load(path) is None
 
@@ -260,6 +264,32 @@ def test_version_1_cache_entry_is_a_miss_and_is_overwritten(tmp_path):
     assert rewritten["payload"]["tracker"] == packed
     assert campaign.run(spec, jobs=1, cache_dir=tmp_path,
                         quiet=True).cached == 1
+
+
+def test_cache_entry_written_before_typed_columns_is_a_hit(tmp_path):
+    """The typed columns changed no byte of the payload and no version
+    number, so an entry the list-backed code (commit ee73789) wrote is
+    served, not recomputed or rewritten.  The entry is checked in; it is
+    filed under today's key because the key's code fingerprint moves
+    with every ``src/repro`` edit by design — the *format* is the pin."""
+    stored = Path(__file__).parent / "data" / "cache_entry_parent_format.json"
+    spec = campaign.experiment_grid(
+        "parent-format", {"cell": small_cfg(max_messages=12)})
+    path = campaign.ResultCache(tmp_path).path_for(spec.name, spec.cells[0])
+    shutil.copy(stored, path)
+
+    rerun = campaign.run(spec, jobs=1, cache_dir=tmp_path, quiet=True)
+    assert (rerun.cached, rerun.computed) == (1, 0)
+    assert path.read_bytes() == stored.read_bytes()
+    hit = rerun["cell"]
+    assert hit.wall_seconds == 0.05194846099766437   # the entry's, not ours
+    fresh = campaign.run(spec, jobs=1, fresh=True,
+                         cache_dir=tmp_path / "fresh", quiet=True)["cell"]
+    assert hit.tracker.count == 12
+    assert hit.tracker.sizes == fresh.tracker.sizes
+    assert hit.tracker.slowdowns == fresh.tracker.slowdowns
+    assert hit.tracker.to_payload() \
+        == json.loads(stored.read_bytes())["payload"]["tracker"]
 
 
 def test_campaign_cell_error_names_the_config(tmp_path):

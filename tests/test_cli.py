@@ -38,6 +38,29 @@ def test_run_command_small(capsys):
     assert "finish rate" in out
 
 
+def test_run_command_with_every_sample_in_the_warmup(capsys):
+    """Eight messages, all created inside the default 0.5 ms warm-up:
+    the summary still prints (percentiles as n/a), stderr names the
+    flags to change, and the exit code is non-zero — no traceback."""
+    code = main([
+        "run", "--protocol", "homa", "--workload", "W1",
+        "--load", "0.3", "--racks", "1", "--hosts-per-rack", "4",
+        "--aggrs", "0", "--max-messages", "8",
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    summary = {label.strip(): value.strip() for label, _, value in (
+        line.partition(" : ") for line in captured.out.splitlines())}
+    assert summary["messages measured"] == "0"
+    assert summary["submitted / completed"] == "8 / 8"
+    assert summary["overall p50 slowdown"] == "n/a"
+    assert summary["overall p99 slowdown"] == "n/a"
+    assert "wall time" in summary            # the whole table printed
+    (line,) = captured.err.splitlines()
+    for flag in ("--warmup-ms", "--duration-ms", "--max-messages"):
+        assert flag in line
+
+
 def test_campaign_command_no_sim_figure(capsys):
     # fig01 derives from the workload catalog (zero campaign cells), so
     # this exercises the full campaign CLI path in milliseconds.

@@ -1,9 +1,13 @@
 """Unit tests for the metrics package."""
 
 import base64
+import gc
 import json
 import math
 import struct
+import sys
+import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +37,11 @@ def test_tracker_records_relative_to_oracle():
     tracker = SlowdownTracker(net)
     oracle = net.min_oneway_ps(100, False)
     tracker.record_oneway(0, 143, 100, 0, 2 * oracle)
-    assert tracker.slowdowns == [2.0]
+    assert type(tracker.sizes) is array and tracker.sizes.typecode == "q"
+    assert type(tracker.slowdowns) is array
+    assert tracker.slowdowns.typecode == "d"
+    assert tracker.sizes == array("q", [100])
+    assert tracker.slowdowns == array("d", [2.0])
 
 
 def test_tracker_warmup_filter():
@@ -49,7 +57,8 @@ def test_tracker_rpc_uses_round_trip_oracle():
     tracker = SlowdownTracker(net)
     oracle = net.min_rpc_ps(200, 200, False)
     tracker.record_rpc(0, 143, 200, 200, 0, oracle)
-    assert tracker.slowdowns == [pytest.approx(1.0)]
+    assert tracker.sizes == array("q", [200])
+    assert list(tracker.slowdowns) == [pytest.approx(1.0)]
 
 
 def test_tracker_bucket_report():
@@ -93,8 +102,8 @@ def test_tracker_overall_empty_raises():
 
 def _tracker(sizes, slowdowns, warmup_ps=0):
     tracker = SlowdownTracker(None, warmup_ps=warmup_ps)
-    tracker.sizes = list(sizes)
-    tracker.slowdowns = list(slowdowns)
+    tracker.sizes = array("q", sizes)
+    tracker.slowdowns = array("d", slowdowns)
     return tracker
 
 
@@ -115,10 +124,9 @@ def test_packed_columns_round_trip_bit_exactly(samples, warmup_ps):
     back = SlowdownTracker.from_payload(
         json.loads(json.dumps(tracker.to_payload())))
     assert back.warmup_ps == warmup_ps
-    assert type(back.sizes) is list and type(back.slowdowns) is list
+    assert type(back.sizes) is array and type(back.slowdowns) is array
+    assert (back.sizes.typecode, back.slowdowns.typecode) == ("q", "d")
     assert back.sizes == tracker.sizes
-    assert all(type(s) is int for s in back.sizes)
-    assert all(type(v) is float for v in back.slowdowns)
     # nan != nan and -0.0 == 0.0: compare the doubles by their bits.
     assert _bits(back.slowdowns) == _bits(tracker.slowdowns)
 
@@ -138,7 +146,10 @@ def test_packed_columns_edge_values_and_empty_tracker():
 
     empty = SlowdownTracker.from_payload(
         json.loads(json.dumps(_tracker([], []).to_payload())))
-    assert empty.sizes == [] and empty.slowdowns == [] and empty.count == 0
+    assert empty.sizes == array("q") and empty.slowdowns == array("d")
+    assert empty.count == 0
+    with pytest.raises(ValueError, match="no messages recorded"):
+        empty.overall(50)
 
 
 def _payload(**columns):
@@ -168,6 +179,108 @@ def _payload(**columns):
 def test_hostile_packed_column_raises_value_error_naming_it(column, value):
     with pytest.raises(ValueError, match=f"'{column}'"):
         SlowdownTracker.from_payload(_payload(**{column: value}))
+
+
+#: ``to_payload()`` of an eight-sample tracker as written by the code
+#: before the typed columns (commit ee73789, list-backed): the bytes a
+#: version-2 cache entry or farm frame already on disk / in flight holds.
+_PARENT_PAYLOAD = {
+    "warmup_ps": 500000,
+    "sizes": "AQAAAAAAAABkAAAAAAAAALQFAAAAAAAAAAAAAAABAAAAAAAAAAAAAAcAAAAAAAAA"
+             "QFSJAAAAAAAAAAAAAAAAQA==",
+    "slowdowns": "AAAAAAAA8D8BAAAAAADwPwAAAAAAAARAAAAAAAAA8H8AAAAAAAAAgAEAAAAA"
+                 "AAAAAAAAAAAA+H/Jdr6fDCT+QA==",
+}
+
+
+def test_payload_format_is_the_parents_byte_for_byte():
+    back = SlowdownTracker.from_payload(_PARENT_PAYLOAD)
+    assert back.warmup_ps == 500000
+    assert back.sizes == array(
+        "q", [1, 100, 1460, 2**40, 0, 7, 9_000_000, 2**62])
+    assert _bits(back.slowdowns) == _bits(
+        [1.0, 1.0000000000000002, 2.5, float("inf"), -0.0, 5e-324,
+         float("nan"), 123456.789])
+    assert back.to_payload() == _PARENT_PAYLOAD
+
+
+@pytest.mark.parametrize("report", [
+    lambda t: t.overall(50),
+    lambda t: t.bucket_report([0, 100, 1000]),
+    lambda t: t.series([0, 100, 1000], 99),
+    lambda t: t.to_payload(),
+], ids=["overall", "bucket_report", "series", "to_payload"])
+def test_report_views_do_not_pin_a_live_tracker(report):
+    """A numpy view of a column that outlived the report would make the
+    next ``append`` raise BufferError ("cannot resize an array that is
+    exporting buffers")."""
+    tracker = SlowdownTracker(make_net())
+    tracker.record_oneway(0, 143, 100, 0, 10_000_000)
+    report(tracker)
+    tracker.record_oneway(0, 143, 100, 0, 10_000_000)
+    report(tracker)
+    tracker.record_rpc(0, 143, 200, 200, 0, 10_000_000)
+    assert tracker.count == 3
+
+
+def test_columns_hold_no_per_sample_object():
+    """No boxing, as a count: decoding allocates the two buffers (plus
+    one transient ``bytes`` a column) and a handful of blocks, never an
+    int and a float per sample; recording holds 16 bytes a sample plus
+    ``array``'s one-sixteenth growth slack."""
+    n = 10_000
+    payload = json.loads(json.dumps(_tracker(
+        range(1000, 1000 + n), (1.0 + i / n for i in range(n))).to_payload()))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        back = SlowdownTracker.from_payload(payload)
+        _, peak = tracemalloc.get_traced_memory()
+        live_blocks = sum(stat.count for stat in
+                          tracemalloc.take_snapshot().statistics("filename"))
+    finally:
+        tracemalloc.stop()
+    assert back.count == n
+    assert peak < 3 * 16 * n
+    assert live_blocks < 100
+
+    tracker = SlowdownTracker(make_net())
+    for i in range(n):
+        tracker.record_oneway(0, 143, 1000 + i, 0, 10_000_000)
+    held = sys.getsizeof(tracker.sizes) + sys.getsizeof(tracker.slowdowns)
+    assert 16 * n <= held <= 17 * n + 256
+
+
+@pytest.mark.skipif(sys.byteorder == "big",
+                    reason="the swap path is the native one there")
+def test_big_endian_host_swaps_a_copy_never_the_live_column(monkeypatch):
+    tracker = _tracker([1, 2**40, 2**62], [1.5, -0.0, float("nan")])
+    little = tracker.to_payload()
+    before = (tracker.sizes.tobytes(), tracker.slowdowns.tobytes())
+
+    monkeypatch.setattr(sys, "byteorder", "big")
+    payload = tracker.to_payload()
+    back = SlowdownTracker.from_payload(json.loads(json.dumps(payload)))
+    monkeypatch.undo()
+
+    assert (tracker.sizes.tobytes(), tracker.slowdowns.tobytes()) == before
+    assert back.sizes == tracker.sizes
+    assert _bits(back.slowdowns) == _bits(tracker.slowdowns)
+    # The swap path really ran: this (little-endian) host wrote the
+    # byte-reversed items a big-endian host's arrays would hold.
+    assert base64.b64decode(payload["sizes"]) \
+        == struct.pack(">3q", *tracker.sizes)
+    assert payload != little
+
+
+def test_series_rejects_percentiles_it_has_no_column_for():
+    tracker = _tracker([50, 50, 500], [1.0, 3.0, 2.0])
+    edges = [0, 100, 1000]
+    report = tracker.bucket_report(edges)
+    assert tracker.series(edges, 50) == [b.p50 for b in report]
+    assert tracker.series(edges, 99) == [b.p99 for b in report]
+    with pytest.raises(ValueError, match="90"):
+        tracker.series(edges, 90)
 
 
 def test_bucket_index():

@@ -372,6 +372,16 @@ def test_hot_manifest_names_the_baseline_sender_pulls():
             HOT_FUNCTIONS[f"src/repro/baselines/{rel}.py"])
 
 
+def test_hot_manifest_names_the_sample_recorders():
+    """Once per completed message: what appends to the typed sample
+    columns must not grow a per-sample comprehension or f-string."""
+    from repro.analysis.rules_hotpath import HOT_FUNCTIONS
+
+    assert HOT_FUNCTIONS["src/repro/metrics/slowdown.py"] == {
+        "SlowdownTracker.record_oneway", "SlowdownTracker.record_rpc",
+        "SlowdownTracker._push"}
+
+
 # -- quadratic-pop ------------------------------------------------------
 
 QUEUE_IN_A_LIST = """
@@ -647,14 +657,14 @@ def test_payload_pragma_waives():
 
 def test_payload_keys_visible_through_packing_helpers():
     """Values wrapped in calls (the tracker's packed sample columns:
-    ``_pack(...)`` on write, ``_unpack(name, code, payload[key])`` on
+    ``_pack(column)`` on write, ``_unpack(name, code, payload[key])`` on
     read) keep their keys statically visible on both sides."""
     src = """
         class T:
             def to_payload(self):
                 return {"warmup_ps": self.warmup_ps,
-                        "sizes": _pack("q", self.sizes),
-                        "slowdowns": _pack("d", self.slowdowns)}
+                        "sizes": _pack(self.sizes),
+                        "slowdowns": _pack(self.slowdowns)}
             @classmethod
             def from_payload(cls, payload):
                 t = cls(None, warmup_ps=payload["warmup_ps"])
