@@ -6,7 +6,7 @@ layer is free when unused:
 
 * ``clean-plain`` / ``clean-spec`` — the same 2-level shape built from
   a ``NetworkConfig`` and from a clean ``TopologySpec``; their
-  slowdown digests must be byte-identical (the lowering guarantee).
+  slowdown digests must be byte-identical (the clean-spec guarantee).
 * ``lossy-2level`` — Bernoulli drops at the ToRs and aggrs, recovered
   by the section 3.7 machinery.
 * ``lossy-3level`` — a mixed-speed (10/25/100 Gbps) two-pod fabric
@@ -162,7 +162,7 @@ def render(results) -> str:
             f"{ct.rtx_data:>6} {ct.rtx_recovered:>6}")
     clean = slowdown_digest({"cell": results["clean-plain"]})
     spec = slowdown_digest({"cell": results["clean-spec"]})
-    lines.append(f"clean lowering digest match: {clean == spec} "
+    lines.append(f"clean-spec digest match: {clean == spec} "
                  f"({clean[:12]})")
     violations = [v for key, result in results.items()
                   for v in _violations(key, result)]

@@ -6,7 +6,7 @@ Echo RPC clients/servers at 80% load compare: Homa, HomaP4/P2/P1
 overcommitment), and the streaming transport with one connection per
 pair ("TCP"/"InfRC" analogue) and many connections ("TCP-MC").
 
-Substitution note (DESIGN.md): the original figure measures RAMCloud on
+Substitution note: the original figure measures RAMCloud on
 real hardware; absolute microseconds differ here, but the protocol-level
 ordering — Homa < HomaP2 < Basic << single-stream — is the claim under
 test.

@@ -1,7 +1,8 @@
 """repro — packet-level reproduction of Homa (SIGCOMM 2018).
 
-Public API surface; see README.md for a tour and DESIGN.md for the
-system inventory.
+Public API surface; ``examples/quickstart.py`` is the tour, and docs/
+holds the references (CONFIG.md, FABRICS.md, CAMPAIGNS.md,
+PERFORMANCE.md, STATIC_ANALYSIS.md).
 
 Exports resolve lazily (PEP 562): ``import repro`` must stay free of
 third-party imports so ``python -m repro.analysis`` — the simlint gate

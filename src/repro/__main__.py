@@ -56,6 +56,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         ("messages measured", str(measured)),
         ("submitted / completed", f"{result.submitted} / {result.completed}"),
         ("finish rate", f"{result.finish_rate:.3f}"),
+        ("duplicate deliveries", str(result.duplicates)),
         ("overall p50 slowdown", p50),
         ("overall p99 slowdown", p99),
         ("events simulated", f"{result.events:,}"),
@@ -65,6 +66,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("error: no message created after the warm-up completed, so "
               "nothing was measured; lower --warmup-ms or raise "
               "--duration-ms / --max-messages", file=sys.stderr)
+        return 1
+    if result.duplicates:
+        print(f"error: {result.duplicates} more message(s) completed than "
+              "were submitted; at-most-once delivery is broken for this "
+              "configuration and seed", file=sys.stderr)
         return 1
     return 0
 

@@ -154,6 +154,8 @@ class Module:
             ]
         except tokenize.TokenError:  # pragma: no cover - ast parsed already
             comments = []
+        #: (line, text) of every comment token
+        self.comments = comments
         for lineno, text in comments:
             m = PRAGMA_RE.search(text)
             if m:

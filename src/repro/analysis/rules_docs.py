@@ -11,6 +11,10 @@ adds a knob.
 Bidirectional: table rows in docs/CONFIG.md that name a field which no
 longer exists are flagged too (``stale-doc``), so renames cannot leave
 ghost documentation behind.
+
+And the pointers themselves must land: a markdown file named in a
+Python docstring or comment has to exist (``missing-doc``) — at the repo
+root, under docs/, at the path written, or beside the file naming it.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import ast
 import re
 
-from repro.analysis.core import Finding, Project, rule
+from repro.analysis.core import Finding, Module, Project, rule
 
 #: class names whose fields constitute the user-facing config surface
 CONFIG_CLASS_NAMES = ("HomaConfig", "NetworkConfig", "TopologySpec",
@@ -29,6 +33,58 @@ CONFIG_DOC = "docs/CONFIG.md"
 
 _TABLE_FIELD_RE = re.compile(r"^\|\s*`([a-z][a-z0-9_]*)`")
 
+#: a markdown file named in prose (globs such as ``*.md`` do not match)
+_MD_REF_RE = re.compile(r"[\w./-]*\w\.md\b")
+
+
+def _prose(mod: Module):
+    """``(line, scope, text)`` of every docstring line and comment."""
+    for node in ast.walk(mod.tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            if ast.get_docstring(node, clean=False) is not None:
+                doc = node.body[0]
+                for offset, text in enumerate(doc.value.value.splitlines()):
+                    yield doc.lineno + offset, mod.scope_of(doc), text
+    for lineno, text in mod.comments:
+        yield lineno, "<module>", text
+
+
+def _doc_exists(project: Project, mod: Module, ref: str) -> bool:
+    ref = ref.removeprefix("./")
+    if ref in project.docs or f"docs/{ref}" in project.docs:
+        return True
+    if project.root is None:
+        return False
+    return ((project.root / ref).is_file()
+            or (project.root / mod.rel).parent.joinpath(ref).is_file())
+
+
+def _missing_docs(project: Project) -> list[Finding]:
+    """``missing-doc``: markdown pointers in prose that land nowhere."""
+    out: list[Finding] = []
+    for mod in project.modules:
+        for lineno, scope, text in _prose(mod):
+            for ref in _MD_REF_RE.findall(text):
+                if not _doc_exists(project, mod, ref):
+                    out.append(
+                        Finding(
+                            rule="doc-drift",
+                            path=mod.rel,
+                            line=lineno,
+                            scope=scope,
+                            detail=f"missing-doc:{ref}",
+                            message=(
+                                f"{ref} is not in the tree (repo root, "
+                                f"docs/, the path written, or beside this "
+                                f"file); point at the doc or docstring "
+                                f"that holds the content, or drop the "
+                                f"pointer"
+                            ),
+                        )
+                    )
+    return out
+
 
 @rule("doc-drift")
 def check_doc_drift(project: Project) -> list[Finding]:
@@ -37,9 +93,10 @@ def check_doc_drift(project: Project) -> list[Finding]:
     Forward: each dataclass field name must occur (as a whole word) in
     some ``*.md`` under the repo root or docs/.  Reverse: each
     backticked field in a docs/CONFIG.md table row must still exist on
-    one of the config classes.
+    one of the config classes.  Pointers: a markdown file named in a
+    docstring or comment must exist.
     """
-    out: list[Finding] = []
+    out = _missing_docs(project)
     all_docs = "\n".join(project.docs.values())
     known_fields: set[str] = set()
     for mod in project.modules:

@@ -45,7 +45,6 @@ HOT_FUNCTIONS: dict[str, frozenset[str]] = {
             "Simulator.schedule0",
             "Simulator.schedule1",
             "Simulator.schedule_at",
-            "Simulator.schedule_at1",
             "Simulator._file_far",
             "Simulator._refill",
             "Simulator._run_loop",
@@ -65,8 +64,7 @@ HOT_FUNCTIONS: dict[str, frozenset[str]] = {
     ),
     "src/repro/core/topology.py": frozenset(
         {
-            "Network._make_tor_ingress.<locals>.ingress",
-            "Network._make_aggr_ingress.<locals>.ingress",
+            "Network._make_ingress.<locals>.ingress",
         }
     ),
     "src/repro/core/pool.py": frozenset(

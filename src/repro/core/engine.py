@@ -13,8 +13,8 @@ the varargs tuple on those saves measurable time at millions of events
 per run.
 
 The heap only ever holds events inside the current coarse time bucket
-(~4 us).  Events further out land in one of two timer-wheel levels —
-dict-of-list buckets of ~4 us (level 0) and ~537 us (level 1) — and are
+(~34 us).  Events further out land in one of two timer-wheel levels —
+dict-of-list buckets of ~34 us (level 0) and ~537 us (level 1) — and are
 poured into the heap when the clock reaches their bucket.  Per-packet
 events (sub-microsecond serialization and switch delays) therefore sift
 through a heap that contains only the near future, while the long-lived
@@ -129,21 +129,6 @@ class Simulator:
             raise ValueError(f"cannot schedule in the past ({time_ps} < {self.now})")
         self._seq += 1
         event: Event = [time_ps, self._seq, fn, _pack_arg(args)]
-        if time_ps < self._horizon:
-            heappush(self._heap, event)
-        else:
-            self._file_far(event, time_ps)
-        return event
-
-    def schedule_at1(self, time_ps: int, fn: Callable, arg: Any) -> Event:
-        """``schedule_at`` specialised to one non-None, non-tuple argument.
-
-        Used by ``FaultInjector.arm`` (core/faults.py), which files its
-        validated non-negative fault times when the network is built at
-        time zero — never in the past, so no past-check is needed.
-        """
-        self._seq += 1
-        event: Event = [time_ps, self._seq, fn, arg]
         if time_ps < self._horizon:
             heappush(self._heap, event)
         else:

@@ -12,8 +12,8 @@ this for every callback registered here):
 * :class:`FaultInjector` schedules :class:`FaultEvent` s — kill or
   restore a named link or switch at a fixed sim time — as ordinary
   simulator events.  Applying a fault recomputes the fabric's live
-  spray sets (``FabricNetwork.apply_fault``), so subsequent packets
-  reroute around the failure mid-simulation.
+  spray sets (``Network.apply_fault``), so subsequent packets reroute
+  around the failure mid-simulation.
 
 Loss flows through the real recovery path: a dropped DATA or GRANT
 packet is recovered (or given up on) by the transport's §3.7 timeout
@@ -37,6 +37,9 @@ from repro.core.units import MS
 FAULT_KINDS = ("link", "switch")
 #: valid FaultEvent.action values
 FAULT_ACTIONS = ("down", "up")
+
+#: ``Network.next_fault_ps`` while no fault is scheduled (far future)
+NO_FAULT_PS = 1 << 62
 
 #: distinct multiplier/offset from the spray RNG's ``seed*7919+13`` so
 #: the loss stream never aliases the path-spray stream
@@ -135,13 +138,16 @@ class FaultInjector:
     """Applies a fault schedule to a built fabric at simulated times.
 
     Construction validates every target against the network; ``arm()``
-    files one simulator event per fault.  Observers registered with
+    files one simulator event per fault.  ``net.next_fault_ps`` is kept
+    at the time of the next unapplied fault, so the fused switch ingress
+    never appends a packet early across a buffer flush
+    (``core/topology.py``).  Observers registered with
     ``subscribe(fn)`` are called as ``fn(event, now_ps)`` after each
     application — the ``fault-determinism`` simlint rule statically
     rejects wall-clock or unseeded-RNG use inside such callbacks.
     """
 
-    __slots__ = ("sim", "net", "events", "applied", "_observers")
+    __slots__ = ("sim", "net", "events", "applied", "_observers", "_due")
 
     def __init__(self, sim, net, events: Iterable[FaultEvent]) -> None:
         self.sim = sim
@@ -149,6 +155,8 @@ class FaultInjector:
         self.events = tuple(events)
         self.applied = 0
         self._observers: list[Callable] = []
+        #: fault times in firing order, then the no-fault sentinel
+        self._due = sorted(ev.at_ps for ev in self.events) + [NO_FAULT_PS]
         for i, ev in enumerate(self.events):
             net.validate_fault_target(ev, i)
 
@@ -159,11 +167,13 @@ class FaultInjector:
     def arm(self) -> None:
         """Schedule every fault at its absolute simulation time."""
         for ev in self.events:
-            self.sim.schedule_at1(ev.at_ps, self._apply, ev)
+            self.sim.schedule_at(ev.at_ps, self._apply, ev)
+        self.net.next_fault_ps = self._due[self.applied]
 
     def _apply(self, ev: FaultEvent) -> None:
         self.net.apply_fault(ev)
         self.applied += 1
+        self.net.next_fault_ps = self._due[self.applied]
         for fn in self._observers:
             fn(ev, self.sim.now)
 

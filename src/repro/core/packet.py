@@ -1,6 +1,6 @@
 """Packets and Ethernet framing.
 
-Framing model (documented in DESIGN.md section 3):
+Framing model:
 
 * transport+IP header: 40 bytes carried inside the frame,
 * Ethernet header+CRC: 18 bytes, preamble+inter-packet gap: 20 bytes,

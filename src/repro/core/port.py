@@ -266,8 +266,8 @@ class QueuedPort(BasePort):
         — its bits are already on the wire (a dead downstream switch
         drops it at ingress instead).  Pooled packets recycle at the
         drop point.  Returns the number of packets destroyed, which the
-        caller accounts (FabricNetwork credits the owning switch's
-        ``fault_drops``).
+        caller accounts (``Network.apply_fault`` credits the owning
+        switch's ``fault_drops``).
         """
         flushed = 0
         for queue in self.queues:

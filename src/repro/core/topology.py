@@ -1,4 +1,4 @@
-"""Topology builders and path-time oracles.
+"""The topology builder and path-time oracles.
 
 ``NetworkConfig`` defaults reproduce Figure 11: 144 hosts in 9 racks of
 16, four 40 Gbps aggregation switches, 10 Gbps host links, 250 ns switch
@@ -19,10 +19,11 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 from repro.core.engine import Simulator
-from repro.core.faults import (FaultEvent, FaultInjector, LossRates,
-                               install_loss)
+from repro.core.faults import (NO_FAULT_PS, FaultEvent, FaultInjector,
+                               LossRates, install_loss)
 from repro.core.host import Host
 from repro.core.packet import FULL_WIRE, MAX_PAYLOAD, MIN_WIRE, Packet, wire_size
+from repro.core.pool import free_packet
 from repro.core.port import BasePort, PfabricPort, PullPort, QueuedPort
 from repro.core.switch import Switch
 from repro.core.units import NS, ps_per_byte
@@ -68,27 +69,62 @@ class NetworkConfig:
 
 
 class Network:
-    """A built network: hosts, switches, ports, and timing oracles."""
+    """A built network: hosts, 1-3 switch levels, ports, timing oracles.
 
-    def __init__(self, sim: Simulator, cfg: NetworkConfig) -> None:
+    ``cfg`` describes the tree up to the aggregation layer (``racks``
+    and ``aggrs`` are totals); ``pods`` splits it into pods of
+    ``racks // pods`` racks and ``aggrs // pods`` aggregation switches,
+    and ``cores`` adds a core layer on ``core_gbps`` links: core ``c``
+    connects to aggregation position ``c // (cores // aggrs_per_pod)``
+    in every pod.  One rack builds a single switch; no cores, the
+    paper's 2-level tree.
+
+    Every switch routes through the same liveness-aware ingress closure
+    (:meth:`_make_ingress`): :meth:`apply_fault` flips link/switch flags
+    and rewrites the forwarding tables the closures read, so packets
+    reroute — or black-hole — mid-simulation.  On a healthy fabric the
+    tables are full and never change.
+    """
+
+    def __init__(self, sim: Simulator, cfg: NetworkConfig, *, pods: int = 1,
+                 cores: int = 0, core_gbps: int = 100) -> None:
         if cfg.queue_mode not in QUEUE_MODES:
             raise ValueError(f"unknown queue mode {cfg.queue_mode!r}")
         if cfg.racks < 1 or cfg.hosts_per_rack < 1:
             raise ValueError("need at least one rack with one host")
         if cfg.racks > 1 and cfg.aggrs < 1:
             raise ValueError("multi-rack topologies need aggregation switches")
+        if pods < 1 or cfg.racks % pods or (cfg.racks > 1
+                                            and cfg.aggrs % pods):
+            raise ValueError("racks and aggrs must split evenly into pods")
+        if cores and (cfg.racks == 1 or cores % (cfg.aggrs // pods)):
+            raise ValueError("cores must be a multiple of the aggrs per pod")
         self.sim = sim
         self.cfg = cfg
+        self.core_gbps = core_gbps
         self.hosts: list[Host] = []
         self.tors: list[Switch] = []
         self.aggrs: list[Switch] = []
+        self.cores: list[Switch] = []
         self.host_up_ports: list[PullPort] = []
         self.tor_down_ports: list[BasePort] = []
         self.tor_up_ports: list[BasePort] = []       # flattened [tor][aggr]
         self.aggr_down_ports: list[BasePort] = []    # flattened [aggr][rack]
+        self.aggr_up_ports: list[BasePort] = []      # flattened [aggr][k]
+        self.core_down_ports: list[BasePort] = []    # flattened [core][pod]
+        self.reroutes = 0
+        self.fault_injector: FaultInjector | None = None
+        #: time of the next scheduled fault (kept by FaultInjector)
+        self.next_fault_ps = NO_FAULT_PS
+        self._pod_hosts = cfg.racks // pods * cfg.hosts_per_rack
         self._spray = random.Random(cfg.seed * 7919 + 13)
-        self._oneway_cache: dict[tuple[int, bool], int] = {}
-        self._build()
+        self._oneway_cache: dict[tuple[int, int], int] = {}
+        self._switch_by_name: dict[str, Switch] = {}
+        self._link_ok: dict[str, bool] = {}
+        #: link key -> (lower switch, upper switch, up port, down port,
+        #: the hosts below the lower switch)
+        self._links: dict[str, tuple] = {}
+        self._build(pods, cores)
 
     # ------------------------------------------------------------------
     # construction
@@ -109,58 +145,82 @@ class Network:
             preemptive=cfg.preemptive_links,
         )
 
-    def _build(self) -> None:
+    def _build(self, pods: int, n_cores: int) -> None:
         cfg = self.cfg
         sim = self.sim
+        H = cfg.hosts_per_rack
+        R = cfg.racks // pods                          # racks per pod
+        A = cfg.aggrs // pods if cfg.racks > 1 else 0  # aggrs per pod
+        K = n_cores // A if n_cores else 0             # core links per aggr
+
         for hid in range(cfg.n_hosts):
-            self.hosts.append(Host(sim, hid, hid // cfg.hosts_per_rack,
-                                   cfg.software_delay_ps))
-        for rack in range(cfg.racks):
-            self.tors.append(Switch(sim, f"tor{rack}", cfg.switch_delay_ps,
-                                    "tor"))
-        if cfg.racks > 1:
-            for a in range(cfg.aggrs):
-                self.aggrs.append(Switch(sim, f"aggr{a}", cfg.switch_delay_ps,
-                                         "aggr"))
+            self.hosts.append(Host(sim, hid, hid // H, cfg.software_delay_ps))
+        # Switches before ports, each with its ingress closure: the
+        # closures capture the (still empty) forwarding tables, and the
+        # ports created below deliver into them.
+        for g in range(cfg.racks):
+            self._add_switch(self.tors, f"tor{g}", "tor")
+        for p in range(pods):
+            for a in range(A):
+                self._add_switch(self.aggrs, f"aggr{p}.{a}", "aggr")
+        for c in range(n_cores):
+            self._add_switch(self.cores, f"core{c}", "core")
 
-        # Fused per-switch ingress closures: routing + ingress-delay
-        # scheduling in one frame, with arrival fusion (see below).  The
-        # closures capture the port lists, which are filled in next and
-        # indexed per packet, so creation order is safe.
-        tor_ingress = [self._make_tor_ingress(rack)
-                       for rack in range(cfg.racks)]
-        aggr_ingress = [self._make_aggr_ingress(a)
-                        for a in range(len(self.aggrs))]
-
-        # Host uplinks (pull model) and TOR downlinks.
+        # Host access links: pull-model uplinks and TOR downlinks.
         for host in self.hosts:
             tor = self.tors[host.rack]
-            up = PullPort(sim, f"h{host.hid}->tor{host.rack}", cfg.host_gbps,
-                          tor_ingress[host.rack], "host_up")
+            up = PullPort(sim, f"h{host.hid}->{tor.name}", cfg.host_gbps,
+                          tor.ingress, "host_up")
             host.egress = up
             self.host_up_ports.append(up)
             down = self._make_switch_port(
-                f"tor{host.rack}->h{host.hid}", cfg.host_gbps,
+                f"{tor.name}->h{host.hid}", cfg.host_gbps,
                 host.ingress, "tor_down")
             self.tor_down_ports.append(down)
             tor.ports.append(down)
+            tor.table[host.hid] = down
 
-        # TOR uplinks and aggregation downlinks.
-        if cfg.racks > 1:
-            for rack, tor in enumerate(self.tors):
-                for a, aggr in enumerate(self.aggrs):
-                    up = self._make_switch_port(
-                        f"tor{rack}->aggr{a}", cfg.aggr_gbps,
-                        aggr_ingress[a], "tor_up")
-                    self.tor_up_ports.append(up)
-                    tor.ports.append(up)
-            for a, aggr in enumerate(self.aggrs):
-                for rack, tor in enumerate(self.tors):
-                    down = self._make_switch_port(
-                        f"aggr{a}->tor{rack}", cfg.aggr_gbps,
-                        tor_ingress[rack], "aggr_down")
-                    self.aggr_down_ports.append(down)
-                    aggr.ports.append(down)
+        # Inter-switch links, one port per direction, bottom-up: wiring
+        # a link reads the finished table of its lower switch, and a
+        # switch's ports are all downlinks until its own uplinks go in.
+        for g, tor in enumerate(self.tors):
+            for aggr in self.aggrs[g // R * A:(g // R + 1) * A]:
+                self._wire(tor, aggr, cfg.aggr_gbps,
+                           "tor_up", self.tor_up_ports, "aggr_down")
+        for j, aggr in enumerate(self.aggrs):
+            self.aggr_down_ports.extend(aggr.ports)
+            for core in self.cores[j % A * K:(j % A + 1) * K]:
+                self._wire(aggr, core, self.core_gbps,
+                           "aggr_up", self.aggr_up_ports, "core_down")
+        for core in self.cores:
+            self.core_down_ports.extend(core.ports)
+
+    def _add_switch(self, layer: list, name: str, level: str) -> None:
+        switch = Switch(name, self.cfg.switch_delay_ps, level,
+                        self.cfg.n_hosts)
+        switch.ingress = self._make_ingress(switch)
+        layer.append(switch)
+        self._switch_by_name[name] = switch
+
+    def _wire(self, lower: Switch, upper: Switch, gbps: int,
+              up_level: str, up_ports: list, down_level: str) -> None:
+        """Both directions of one inter-switch link, registered under
+        ``"lower:upper"`` for the fault machinery."""
+        key = f"{lower.name}:{upper.name}"
+        up = self._make_switch_port(f"{lower.name}->{upper.name}", gbps,
+                                    upper.ingress, up_level)
+        down = self._make_switch_port(f"{upper.name}->{lower.name}", gbps,
+                                      lower.ingress, down_level)
+        up_ports.append(up)
+        lower.ports.append(up)
+        lower.live.append(up)
+        upper.ports.append(down)
+        below = [hid for hid, port in enumerate(lower.table)
+                 if port is not None]
+        for hid in below:
+            upper.table[hid] = down
+        self._link_ok[key] = True
+        self._links[key] = (lower, upper, up, down, below)
 
     # ------------------------------------------------------------------
     # fused switch ingress (the per-hop hot path)
@@ -168,52 +228,59 @@ class Network:
     #
     # A packet hopping through a switch costs two events in the naive
     # model: the upstream port's tx-done and the post-switch-delay
-    # enqueue.  The fused ingress closures below collapse routing and
-    # delay scheduling into one frame, and apply *arrival fusion*: when
-    # the egress port is busy transmitting strictly past the packet's
-    # arrival time, nothing can observe the queue before the packet
-    # really arrives, so it is appended immediately and the arrival
-    # event is skipped entirely.  The ``pending_arrivals`` counter keeps
-    # FIFO order exact: once one packet takes the scheduled-event path,
-    # later packets must too, or they could overtake it in the queue.
-    # Fusion is disabled wherever queue state is observable in between:
-    # finite buffers, ECN, trimming, preemption (``fuse_ok``), attached
-    # probes, or delay tracing.
+    # enqueue.  The ingress closure below collapses fault checks,
+    # routing and delay scheduling into one frame, and applies *arrival
+    # fusion*: when the egress port is busy transmitting strictly past
+    # the packet's arrival time, nothing can observe the queue before
+    # the packet really arrives, so it is appended immediately and the
+    # arrival event is skipped entirely.  ``last_arrival_ps`` keeps FIFO
+    # order exact: once one packet takes the scheduled-event path, later
+    # packets must too until it has fired, or they could overtake it in
+    # the queue.  Fusion is a per-port, per-packet property — it is off
+    # wherever queue state is observable in between: finite buffers,
+    # ECN, trimming, preemption (``fuse_ok``), attached probes, delay
+    # tracing, or a scheduled fault due before the arrival (its flush
+    # must not destroy a packet that has not arrived yet).
 
-    def _make_tor_ingress(self, rack: int):
-        cfg = self.cfg
+    def _make_ingress(self, switch: Switch):
+        """The per-hop closure of ``switch``.  ToR, aggregation and core
+        switches differ only in what their tables hold."""
+        net = self
         sim = self.sim
-        tor = self.tors[rack]
-        delay = tor.delay_ps
-        hosts_per_rack = cfg.hosts_per_rack
-        n_aggrs = cfg.aggrs
-        tor_down = self.tor_down_ports
-        tor_up = self.tor_up_ports
-        up_base = rack * n_aggrs
-        single = cfg.racks == 1
-        # Bit-exact inline of random.Random.randrange(n_aggrs) — same
-        # getrandbits rejection loop, no Python frames.
+        delay = switch.delay_ps
+        table = switch.table
+        live = switch.live
         getrandbits = self._spray.getrandbits
-        spray_bits = n_aggrs.bit_length() if n_aggrs else 0
-
-        lo = rack * hosts_per_rack
-        hi = lo + hosts_per_rack
 
         def ingress(pkt: Packet) -> None:
-            if tor.drop_filter is not None and tor.drop_filter(pkt):
-                tor.injected_drops += 1
-                if pkt.pool is not None:
-                    pkt.pool.free(pkt)
+            if switch.dead:
+                switch.fault_drops += 1
+                free_packet(pkt)
                 return
-            dst = pkt.dst
-            if single or lo <= dst < hi:
-                port = tor_down[dst]
-            else:
-                # Per-packet spraying: any aggregation switch works.
-                r = getrandbits(spray_bits)
-                while r >= n_aggrs:
-                    r = getrandbits(spray_bits)
-                port = tor_up[up_base + r]
+            if switch.drop_filter is not None and switch.drop_filter(pkt):
+                switch.injected_drops += 1
+                free_packet(pkt)
+                return
+            port = table[pkt.dst]
+            if not port:
+                # None: the destination is not below this switch, and
+                # per-packet spraying lets any live uplink carry it.
+                # Bit-exact inline of random.Random.randrange(n) — same
+                # getrandbits rejection loop, no Python frames.
+                n = len(live) if port is None else 0
+                if n > 1:
+                    bits = n.bit_length()
+                    r = getrandbits(bits)
+                    while r >= n:
+                        r = getrandbits(bits)
+                    port = live[r]
+                elif n:
+                    port = live[0]
+                else:
+                    # A fault removed every viable egress: black hole.
+                    switch.routed_drops += 1
+                    free_packet(pkt)
+                    return
             if delay == 0:
                 port.enqueue(pkt)
                 return
@@ -223,6 +290,7 @@ class Network:
                 if (port.fuse_ok and now > port.last_arrival_ps
                         and port.probe is None
                         and not port.trace_delays
+                        and arrival < net.next_fault_ps
                         and (port.cur_end_ps > arrival
                              or (port.cur_end_ps
                                  + port.qbytes * port.ppb > arrival
@@ -247,48 +315,71 @@ class Network:
 
         return ingress
 
-    def _make_aggr_ingress(self, a: int):
-        cfg = self.cfg
-        sim = self.sim
-        aggr = self.aggrs[a]
-        delay = aggr.delay_ps
-        hosts_per_rack = cfg.hosts_per_rack
-        aggr_down = self.aggr_down_ports
-        base = a * cfg.racks
+    # ------------------------------------------------------------------
+    # fault application
+    # ------------------------------------------------------------------
 
-        def ingress(pkt: Packet) -> None:
-            if aggr.drop_filter is not None and aggr.drop_filter(pkt):
-                aggr.injected_drops += 1
-                if pkt.pool is not None:
-                    pkt.pool.free(pkt)
-                return
-            port = aggr_down[base + pkt.dst // hosts_per_rack]
-            if delay == 0:
-                port.enqueue(pkt)
-                return
-            now = sim.now
-            arrival = now + delay
-            if port.busy:
-                if (port.fuse_ok and now > port.last_arrival_ps
-                        and port.probe is None
-                        and not port.trace_delays
-                        and (port.cur_end_ps > arrival
-                             or (port.cur_end_ps
-                                 + port.qbytes * port.ppb > arrival
-                                 and not (port._nonempty
-                                          & ((1 << pkt.prio) - 1))))):
-                    # See the TOR ingress: backlog-aware fusion.
-                    port.enqueue(pkt)
-                    return
-            port.last_arrival_ps = arrival
-            sim._seq += 1
-            event = [arrival, sim._seq, port.enqueue_cb, pkt]
-            if arrival < sim._horizon:
-                heappush(sim._heap, event)
-            else:
-                sim._file_far(event, arrival)
+    def validate_fault_target(self, ev: FaultEvent, index: int) -> None:
+        """Raise, naming the offending event, if the target is unknown."""
+        if ev.kind == "switch":
+            if ev.target not in self._switch_by_name:
+                raise ValueError(
+                    f"faults[{index}].target {ev.target!r} is not a switch "
+                    f"of this fabric")
+        elif ev.target not in self._links:
+            raise ValueError(
+                f"faults[{index}].target {ev.target!r} is not an "
+                f"inter-switch link of this fabric")
 
-        return ingress
+    def apply_fault(self, ev: FaultEvent) -> None:
+        """Flip one link or switch and reroute the live spray sets.
+
+        A down event also flushes the failed element's egress buffers:
+        the line card loses power, so queued packets are destroyed
+        (credited to the owning switch's ``fault_drops``).  In-flight
+        packets finish serializing — their bits are already on the
+        wire — and die at the dead switch's ingress instead.
+
+        Scheduled faults arrive through :class:`FaultInjector`, which
+        keeps ``next_fault_ps`` current so that no packet the ingress
+        appended ahead of its arrival is in a buffer flushed here.
+        """
+        down = ev.action == "down"
+        if ev.kind == "switch":
+            switch = self._switch_by_name[ev.target]
+            switch.dead = down
+            if down:
+                for port in switch.ports:
+                    switch.fault_drops += port.flush()
+        else:
+            self._link_ok[ev.target] = not down
+            if down:
+                lower, upper, up_port, down_port, _ = self._links[ev.target]
+                lower.fault_drops += up_port.flush()
+                upper.fault_drops += down_port.flush()
+        self._recompute_live()
+
+    def _recompute_live(self) -> None:
+        """Rebuild every forwarding table in place from link/switch
+        liveness (the ingress closures hold the lists themselves).
+
+        Cold path (runs once per applied fault).  Routing knowledge is
+        local: a switch knows its own links and neighbours, nothing
+        further.  Each spray set whose membership changed counts as one
+        reroute.
+        """
+        spray = {switch: [] for switch in self.all_switches()}
+        for key, (lower, upper, up_port, down_port, below) in self._links.items():
+            ok = self._link_ok[key]
+            entry = down_port if ok and not lower.dead else False
+            for hid in below:
+                upper.table[hid] = entry
+            if ok and not upper.dead:
+                spray[lower].append(up_port)
+        for switch, live in spray.items():
+            if live != switch.live:
+                switch.live[:] = live
+                self.reroutes += 1
 
     # ------------------------------------------------------------------
     # convenience accessors
@@ -300,13 +391,21 @@ class Network:
     def same_rack(self, a: int, b: int) -> bool:
         return self.rack_of(a) == self.rack_of(b)
 
+    def pod_of(self, hid: int) -> int:
+        return hid // self._pod_hosts
+
+    def same_pod(self, a: int, b: int) -> bool:
+        return self.pod_of(a) == self.pod_of(b)
+
     def all_switch_ports(self) -> Iterable[BasePort]:
         yield from self.tor_down_ports
         yield from self.tor_up_ports
         yield from self.aggr_down_ports
+        yield from self.aggr_up_ports
+        yield from self.core_down_ports
 
     def all_switches(self) -> list[Switch]:
-        return [*self.tors, *self.aggrs]
+        return [*self.tors, *self.aggrs, *self.cores]
 
     def set_drop_filter(self, fn) -> None:
         """Install a packet-loss injector on every switch (tests)."""
@@ -321,10 +420,9 @@ class Network:
         priority-drop, NDP trimming) are recovered by each protocol's
         clean-path mechanics and do not count.
         """
-        if getattr(self, "fault_injector", None) is not None:
-            return True
-        return any(switch.drop_filter is not None
-                   for switch in self.all_switches())
+        return (self.fault_injector is not None
+                or any(switch.drop_filter is not None
+                       for switch in self.all_switches()))
 
     def attach_transports(self, factory) -> list:
         """Build one transport per host via ``factory(host) -> transport``."""
@@ -338,6 +436,16 @@ class Network:
     # ------------------------------------------------------------------
     # timing oracles
     # ------------------------------------------------------------------
+    #
+    # A path belongs to one of three tiers: 0 = same rack (one switch),
+    # 1 = cross rack inside a pod (ToR-aggr-ToR, every cross-rack path
+    # of a 2-level tree), 2 = cross pod (ToR-aggr-core-aggr-ToR).  Tier
+    # t crosses 2t+1 switches; its middle links cost ``_mid_ppb(t)``
+    # picoseconds per byte on top of the two host links.
+
+    def _mid_ppb(self, tier: int) -> int:
+        mid = 2 * ps_per_byte(self.cfg.aggr_gbps)
+        return mid + 2 * ps_per_byte(self.core_gbps) if tier == 2 else mid
 
     def rtt_ps(self, same_rack: bool = False) -> int:
         """Grant-to-data round trip: small control packet one way, a
@@ -351,36 +459,43 @@ class Network:
         return self.rtt_ps(same_rack) // ps_per_byte(self.cfg.host_gbps)
 
     def _packet_transit_ps(self, wire: int, same_rack: bool) -> int:
-        """End-to-end time of one packet on an idle path (no software)."""
+        """End-to-end time of one packet on an idle path (no software);
+        cross-rack means the fabric's worst tier."""
         cfg = self.cfg
-        ppb_h = ps_per_byte(cfg.host_gbps)
-        sw = cfg.switch_delay_ps
+        host = 2 * wire * ps_per_byte(cfg.host_gbps)
         if same_rack or cfg.racks == 1:
-            return wire * ppb_h + sw + wire * ppb_h
-        ppb_a = ps_per_byte(cfg.aggr_gbps)
-        return (wire * ppb_h + sw + wire * ppb_a + sw
-                + wire * ppb_a + sw + wire * ppb_h)
+            return host + cfg.switch_delay_ps
+        tier = 2 if self.cores else 1
+        return (host + (2 * tier + 1) * cfg.switch_delay_ps
+                + wire * self._mid_ppb(tier))
 
     def min_oneway_ps(self, length: int, same_rack: bool = False) -> int:
-        """Best possible one-way message time on an unloaded network.
+        """Best possible one-way message time on an unloaded network,
+        same rack or cross rack within a pod (:meth:`_min_oneway_tier_ps`
+        has the cross-pod tier; :meth:`min_oneway_between` picks)."""
+        return self._min_oneway_tier_ps(
+            length, 0 if same_rack or self.cfg.racks == 1 else 1)
 
-        Same rack (one switch, one path): packets cannot reorder, so the
+    def _min_oneway_tier_ps(self, length: int, tier: int) -> int:
+        """Best possible one-way message time on an unloaded path.
+
+        Tier 0 (one switch, one path): packets cannot reorder, so the
         exact store-and-forward FIFO pipeline applies — the sender
         serializes packets back to back and the receiver's downlink is
         the sequential bottleneck stage.
 
-        Cross rack: per-packet spraying lets a small trailing packet
-        overtake full packets on another aggregation path, so the tight
-        achievable bound is taken over the k largest packets: the last
-        of the k largest to leave the host cannot leave before their
-        combined serialization time, and then still needs its own
-        transit and downlink serialization.  Aggregation hops are pure
-        delay (4x faster links cannot queue behind one 10 Gbps source).
+        Higher tiers: per-packet spraying lets a small trailing packet
+        overtake full packets on another path, so the tight achievable
+        bound is taken over the k largest packets: the last of the k
+        largest to leave the host cannot leave before their combined
+        serialization time, and then still needs its own transit and
+        downlink serialization.  Aggregation and core hops are pure
+        delay (faster links cannot queue behind one host-speed source).
 
         Includes the receiver's software delay, matching the paper's
         "minimum one-way time for a small message is 2.3 us".
         """
-        key = (length, same_rack or self.cfg.racks == 1)
+        key = (length, tier)
         cached = self._oneway_cache.get(key)
         if cached is not None:
             return cached
@@ -396,36 +511,28 @@ class Network:
         full, rest = divmod(length, MAX_PAYLOAD)
         rest_wire = wire_size(rest) if rest else 0
 
-        if key[1]:  # single switch on the path: exact FIFO pipeline
+        if tier == 0:  # single switch on the path: exact FIFO pipeline
             # With equal frames the downlink is saturated back to back:
             # it frees at (k+1) * wire-time + switch delay; the smaller
             # trailer then appends its own serialization.
             if full:
-                downlink_free = (full + 1) * FULL_WIRE * ppb_h + sw
+                result = (full + 1) * FULL_WIRE * ppb_h + sw
                 if rest:
-                    downlink_free += rest_wire * ppb_h
+                    result += rest_wire * ppb_h
             else:
-                downlink_free = 2 * rest_wire * ppb_h + sw
-            result = downlink_free + cfg.software_delay_ps
+                result = 2 * rest_wire * ppb_h + sw
         else:
-            ppb_a = ps_per_byte(cfg.aggr_gbps)
             # max over the k-largest-prefix bound: strictly increasing
             # in k across the uniform prefix, so only k = full and the
             # full-plus-trailer candidates can win.
-            best = 0
-            if full:
-                cum = full * FULL_WIRE * ppb_h
-                best = cum + 3 * sw + 2 * FULL_WIRE * ppb_a \
-                    + FULL_WIRE * ppb_h
-            else:
-                cum = 0
+            transit = (2 * tier + 1) * sw
+            per_byte = self._mid_ppb(tier) + ppb_h
+            cum = full * FULL_WIRE * ppb_h
+            result = cum + transit + FULL_WIRE * per_byte if full else 0
             if rest:
                 cum += rest_wire * ppb_h
-                candidate = cum + 3 * sw + 2 * rest_wire * ppb_a \
-                    + rest_wire * ppb_h
-                if candidate > best:
-                    best = candidate
-            result = best + cfg.software_delay_ps
+                result = max(result, cum + transit + rest_wire * per_byte)
+        result += cfg.software_delay_ps
         self._oneway_cache[key] = result
         return result
 
@@ -436,16 +543,22 @@ class Network:
 
     # Endpoint-addressed oracle forms: the metrics layer asks about a
     # concrete (src, dst) pair and the network decides which path tier
-    # applies.  On the 2-level tree that is exactly the same-rack split
-    # (byte-identical to the direct calls); FabricNetwork overrides
-    # these with pod-aware tiers.
+    # applies.
 
     def min_oneway_between(self, src: int, dst: int, length: int) -> int:
-        return self.min_oneway_ps(length, self.same_rack(src, dst))
+        hosts = self.cfg.hosts_per_rack
+        if src // hosts == dst // hosts:
+            tier = 0
+        elif not self.cores or src // self._pod_hosts == dst // self._pod_hosts:
+            tier = 1
+        else:
+            tier = 2
+        return self._min_oneway_tier_ps(length, tier)
 
     def min_rpc_between(self, src: int, dst: int,
                         request: int, response: int) -> int:
-        return self.min_rpc_ps(request, response, self.same_rack(src, dst))
+        return (self.min_oneway_between(src, dst, request)
+                + self.min_oneway_between(dst, src, response))
 
 
 def build_network(sim: Simulator, cfg: NetworkConfig | None = None) -> Network:
@@ -475,10 +588,10 @@ class TopologySpec:
     pick ``hosts_per_rack``/``aggrs``/``cores`` and link speeds to hit a
     target ratio.
 
-    A spec with ``loss`` all zero and no ``faults`` is *clean* and
-    lowers to the canonical fused-ingress :class:`Network` builder —
-    byte-identical digests to an equivalent :class:`NetworkConfig` run
-    (pinned by the golden test in ``tests/test_faults.py``).
+    A spec with ``loss`` all zero and no ``faults`` is *clean*: it
+    builds the very network an equivalent :class:`NetworkConfig` does,
+    with byte-identical digests (pinned by the golden test in
+    ``tests/test_faults.py``).
     """
 
     levels: int = 2
@@ -592,7 +705,7 @@ class TopologySpec:
                 / (self.core_links_per_aggr * self.core_gbps))
 
     def is_clean(self) -> bool:
-        """No loss, no faults: eligible for canonical-builder lowering."""
+        """No loss, no faults: nothing on this fabric destroys packets."""
         return not self.loss.any() and not self.faults
 
     # -- payload round-trip ---------------------------------------------
@@ -621,403 +734,27 @@ class TopologySpec:
         return cls(loss=loss, faults=faults, **data)
 
 
-class FabricNetwork(Network):
-    """A fabric built from a :class:`TopologySpec`: 3-level routing with
-    liveness-aware spraying and mid-simulation reroute.
-
-    Unlike the canonical builder's fused ingress closures, every hop
-    goes through ``Switch.ingress`` so the routing decision consults
-    mutable liveness state: per-link up/down flags and per-switch
-    ``dead`` flags, maintained by :meth:`apply_fault` and folded into
-    the *live lists* the spray draws from.  A route with no live egress
-    returns ``None`` and the packet is black-holed (counted).
-
-    The spray RNG is the same ``seed*7919+13`` stream as the canonical
-    builder; with faults the draw count per packet depends only on the
-    (deterministic) fault schedule, so two runs of the same spec + seed
-    replay byte-exactly.
-    """
-
-    def __init__(self, sim: Simulator, spec: TopologySpec, *,
-                 seed: int = 1, **overrides) -> None:
-        self.spec = spec
-        cfg = NetworkConfig(
-            racks=spec.racks_total, hosts_per_rack=spec.hosts_per_rack,
-            aggrs=spec.pods * spec.aggrs if spec.racks_total > 1 else 0,
-            host_gbps=spec.host_gbps, aggr_gbps=spec.aggr_gbps,
-            switch_delay_ns=spec.switch_delay_ns,
-            software_delay_ns=spec.software_delay_ns,
-            seed=seed, **overrides)
-        super().__init__(sim, cfg)
-
-    # -- construction ----------------------------------------------------
-
-    def _build(self) -> None:  # overrides the fused canonical builder
-        spec = self.spec
-        cfg = self.cfg
-        sim = self.sim
-        P, R, H, A = spec.pods, spec.racks, spec.hosts_per_rack, spec.aggrs
-        C, K = spec.cores, spec.core_links_per_aggr
-        racks_total = spec.racks_total
-        multi = racks_total > 1
-
-        self.cores: list[Switch] = []
-        self.aggr_up_ports: list[BasePort] = []    # flattened [aggr][k]
-        self.core_down_ports: list[BasePort] = []  # flattened [core][pod]
-        self.reroutes = 0
-        self.fault_injector: FaultInjector | None = None
-        self._xpod_cache: dict[int, int] = {}
-        self._link_ok: dict[str, bool] = {}
-        self._switch_by_name: dict[str, Switch] = {}
-        #: link key -> [(directional egress port, owning switch), ...];
-        #: a link-down fault flushes both directions' buffers
-        self._link_ports: dict[str, list] = {}
-
-        for hid in range(spec.n_hosts):
-            self.hosts.append(Host(sim, hid, hid // H, cfg.software_delay_ps))
-        for g in range(racks_total):
-            self.tors.append(Switch(sim, f"tor{g}", cfg.switch_delay_ps,
-                                    "tor"))
-        if multi:
-            for p in range(P):
-                for a in range(A):
-                    self.aggrs.append(Switch(sim, f"aggr{p}.{a}",
-                                             cfg.switch_delay_ps, "aggr"))
-        if spec.levels == 3:
-            for c in range(C):
-                self.cores.append(Switch(sim, f"core{c}",
-                                         cfg.switch_delay_ps, "core"))
-        for switch in (*self.tors, *self.aggrs, *self.cores):
-            self._switch_by_name[switch.name] = switch
-
-        # Ports: host access links, then one port per directed
-        # inter-switch link, flattened with fixed strides.
-        for host in self.hosts:
-            g = host.rack
-            tor = self.tors[g]
-            up = PullPort(sim, f"h{host.hid}->tor{g}", cfg.host_gbps,
-                          tor.ingress, "host_up")
-            host.egress = up
-            self.host_up_ports.append(up)
-            down = self._make_switch_port(
-                f"tor{g}->h{host.hid}", cfg.host_gbps,
-                host.ingress, "tor_down")
-            self.tor_down_ports.append(down)
-            tor.ports.append(down)
-        if multi:
-            for g, tor in enumerate(self.tors):
-                p = g // R
-                for a in range(A):
-                    aggr = self.aggrs[p * A + a]
-                    up = self._make_switch_port(
-                        f"{tor.name}->{aggr.name}", cfg.aggr_gbps,
-                        aggr.ingress, "tor_up")
-                    self.tor_up_ports.append(up)
-                    tor.ports.append(up)
-                    self._link_ok[f"{tor.name}:{aggr.name}"] = True
-                    self._link_ports[f"{tor.name}:{aggr.name}"] = [(up, tor)]
-            for j, aggr in enumerate(self.aggrs):
-                p = j // A
-                for r in range(R):
-                    tor = self.tors[p * R + r]
-                    down = self._make_switch_port(
-                        f"{aggr.name}->{tor.name}", cfg.aggr_gbps,
-                        tor.ingress, "aggr_down")
-                    self.aggr_down_ports.append(down)
-                    aggr.ports.append(down)
-                    self._link_ports[f"{tor.name}:{aggr.name}"].append(
-                        (down, aggr))
-        if spec.levels == 3:
-            for j, aggr in enumerate(self.aggrs):
-                a = j % A
-                for k in range(K):
-                    core = self.cores[a * K + k]
-                    up = self._make_switch_port(
-                        f"{aggr.name}->{core.name}", spec.core_gbps,
-                        core.ingress, "aggr_up")
-                    self.aggr_up_ports.append(up)
-                    aggr.ports.append(up)
-                    self._link_ok[f"{aggr.name}:{core.name}"] = True
-                    self._link_ports[f"{aggr.name}:{core.name}"] = [(up, aggr)]
-            for c, core in enumerate(self.cores):
-                a = c // K
-                for p in range(P):
-                    aggr = self.aggrs[p * A + a]
-                    down = self._make_switch_port(
-                        f"{core.name}->{aggr.name}", spec.core_gbps,
-                        aggr.ingress, "core_down")
-                    self.core_down_ports.append(down)
-                    core.ports.append(down)
-                    self._link_ports[f"{aggr.name}:{core.name}"].append(
-                        (down, core))
-
-        # Liveness state the route closures read.  The live lists are
-        # mutated *in place* by _recompute_live so closures capturing
-        # them see every fault immediately.
-        self._tor_live = [list(range(A)) if multi else []
-                          for _ in range(racks_total)]
-        self._aggr_core_live = [list(range(K)) for _ in self.aggrs]
-        self._aggr_down_ok = [[True] * R for _ in self.aggrs]
-        self._core_down_ok = [[True] * P for _ in self.cores]
-
-        tor_down = self.tor_down_ports
-        tor_up = self.tor_up_ports
-        aggr_down = self.aggr_down_ports
-        aggr_up = self.aggr_up_ports
-        core_down = self.core_down_ports
-        spray = self._spray
-        pod_hosts = R * H
-
-        def make_tor_route(g: int):
-            lo = g * H
-            hi = lo + H
-            live = self._tor_live[g]
-
-            def route(pkt: Packet):
-                dst = pkt.dst
-                if lo <= dst < hi:
-                    return tor_down[dst]
-                n = len(live)
-                if n == 0:
-                    return None
-                a = live[0] if n == 1 else live[spray.randrange(n)]
-                return tor_up[g * A + a]
-
-            def route_single(pkt: Packet):
-                return tor_down[pkt.dst]
-
-            return route if multi else route_single
-
-        for g, tor in enumerate(self.tors):
-            tor.route = make_tor_route(g)
-
-        def make_aggr_route(j: int):
-            p = j // A
-            pod_lo = p * pod_hosts
-            pod_hi = pod_lo + pod_hosts
-            down_ok = self._aggr_down_ok[j]
-            core_live = self._aggr_core_live[j]
-
-            def route(pkt: Packet):
-                dst = pkt.dst
-                if pod_lo <= dst < pod_hi:
-                    r = (dst - pod_lo) // H
-                    if not down_ok[r]:
-                        return None
-                    return aggr_down[j * R + r]
-                n = len(core_live)
-                if n == 0:
-                    return None
-                k = core_live[0] if n == 1 else core_live[spray.randrange(n)]
-                return aggr_up[j * K + k]
-
-            return route
-
-        for j, aggr in enumerate(self.aggrs):
-            aggr.route = make_aggr_route(j)
-
-        def make_core_route(c: int):
-            down_ok = self._core_down_ok[c]
-
-            def route(pkt: Packet):
-                p = pkt.dst // pod_hosts
-                if not down_ok[p]:
-                    return None
-                return core_down[c * P + p]
-
-            return route
-
-        for c, core in enumerate(self.cores):
-            core.route = make_core_route(c)
-
-    # -- fault application ----------------------------------------------
-
-    def validate_fault_target(self, ev: FaultEvent, index: int) -> None:
-        """Raise, naming the offending event, if the target is unknown."""
-        if ev.kind == "switch":
-            if ev.target not in self._switch_by_name:
-                raise ValueError(
-                    f"faults[{index}].target {ev.target!r} is not a switch "
-                    f"of this fabric")
-        elif ev.target not in self._link_ok:
-            raise ValueError(
-                f"faults[{index}].target {ev.target!r} is not an "
-                f"inter-switch link of this fabric")
-
-    def apply_fault(self, ev: FaultEvent) -> None:
-        """Flip one link or switch and reroute the live spray sets.
-
-        A down event also flushes the failed element's egress buffers:
-        the line card loses power, so queued packets are destroyed
-        (credited to the owning switch's ``fault_drops``).  In-flight
-        packets finish serializing — their bits are already on the
-        wire — and die at the dead switch's ingress instead.
-        """
-        down = ev.action == "down"
-        if ev.kind == "switch":
-            switch = self._switch_by_name[ev.target]
-            switch.dead = down
-            if down:
-                for port in switch.ports:
-                    switch.fault_drops += port.flush()
-        else:
-            self._link_ok[ev.target] = not down
-            if down:
-                for port, owner in self._link_ports[ev.target]:
-                    owner.fault_drops += port.flush()
-        self._recompute_live()
-
-    def _recompute_live(self) -> None:
-        """Rebuild every live list in place from link/switch liveness.
-
-        Cold path (runs once per applied fault).  Each spray set whose
-        membership changed counts as one reroute.
-        """
-        spec = self.spec
-        P, R, A, K = spec.pods, spec.racks, spec.aggrs, spec.core_links_per_aggr
-        link_ok = self._link_ok
-        changed = 0
-        if spec.racks_total > 1:
-            for g, tor in enumerate(self.tors):
-                p = g // R
-                new = [a for a in range(A)
-                       if link_ok[f"{tor.name}:aggr{p}.{a}"]
-                       and not self.aggrs[p * A + a].dead]
-                live = self._tor_live[g]
-                if new != live:
-                    live[:] = new
-                    changed += 1
-        for j, aggr in enumerate(self.aggrs):
-            p, a = divmod(j, A)
-            if K:
-                new = [k for k in range(K)
-                       if link_ok[f"{aggr.name}:core{a * K + k}"]
-                       and not self.cores[a * K + k].dead]
-                live = self._aggr_core_live[j]
-                if new != live:
-                    live[:] = new
-                    changed += 1
-            down_ok = self._aggr_down_ok[j]
-            for r in range(R):
-                tor = self.tors[p * R + r]
-                down_ok[r] = (link_ok[f"{tor.name}:{aggr.name}"]
-                              and not tor.dead)
-        for c, core in enumerate(self.cores):
-            a = c // K
-            down_ok = self._core_down_ok[c]
-            for p in range(P):
-                aggr = self.aggrs[p * A + a]
-                down_ok[p] = (link_ok[f"{aggr.name}:{core.name}"]
-                              and not aggr.dead)
-        self.reroutes += changed
-
-    # -- accessors -------------------------------------------------------
-
-    def pod_of(self, hid: int) -> int:
-        return hid // (self.spec.racks * self.spec.hosts_per_rack)
-
-    def same_pod(self, a: int, b: int) -> bool:
-        return self.pod_of(a) == self.pod_of(b)
-
-    def all_switch_ports(self) -> Iterable[BasePort]:
-        yield from self.tor_down_ports
-        yield from self.tor_up_ports
-        yield from self.aggr_down_ports
-        yield from self.aggr_up_ports
-        yield from self.core_down_ports
-
-    def all_switches(self) -> list[Switch]:
-        return [*self.tors, *self.aggrs, *self.cores]
-
-    # -- timing oracles --------------------------------------------------
-
-    def _packet_transit_ps(self, wire: int, same_rack: bool) -> int:
-        """Worst-tier single-packet transit (cross-pod on 3 levels)."""
-        if same_rack or self.spec.levels == 2:
-            return super()._packet_transit_ps(wire, same_rack)
-        cfg = self.cfg
-        ppb_h = ps_per_byte(cfg.host_gbps)
-        ppb_a = ps_per_byte(cfg.aggr_gbps)
-        ppb_c = ps_per_byte(self.spec.core_gbps)
-        sw = cfg.switch_delay_ps
-        return (wire * ppb_h + sw + wire * ppb_a + sw + wire * ppb_c + sw
-                + wire * ppb_c + sw + wire * ppb_a + sw + wire * ppb_h)
-
-    def min_oneway_between(self, src: int, dst: int, length: int) -> int:
-        if self.same_rack(src, dst):
-            return self.min_oneway_ps(length, True)
-        if self.spec.levels == 2 or self.same_pod(src, dst):
-            # Intra-pod: exactly the 2-level cross-rack bound.
-            return self.min_oneway_ps(length, False)
-        return self._min_oneway_xpod_ps(length)
-
-    def min_rpc_between(self, src: int, dst: int,
-                        request: int, response: int) -> int:
-        return (self.min_oneway_between(src, dst, request)
-                + self.min_oneway_between(dst, src, response))
-
-    def _min_oneway_xpod_ps(self, length: int) -> int:
-        """Cross-pod best case: the 2-level k-largest bound extended by
-        two core-link serializations and two more switch delays."""
-        cached = self._xpod_cache.get(length)
-        if cached is not None:
-            return cached
-        cfg = self.cfg
-        ppb_h = ps_per_byte(cfg.host_gbps)
-        ppb_a = ps_per_byte(cfg.aggr_gbps)
-        ppb_c = ps_per_byte(self.spec.core_gbps)
-        sw = cfg.switch_delay_ps
-        full, rest = divmod(length, MAX_PAYLOAD)
-        rest_wire = wire_size(rest) if rest else 0
-        best = 0
-        if full:
-            cum = full * FULL_WIRE * ppb_h
-            best = (cum + 5 * sw + 2 * FULL_WIRE * ppb_a
-                    + 2 * FULL_WIRE * ppb_c + FULL_WIRE * ppb_h)
-        else:
-            cum = 0
-        if rest:
-            cum += rest_wire * ppb_h
-            candidate = (cum + 5 * sw + 2 * rest_wire * ppb_a
-                         + 2 * rest_wire * ppb_c + rest_wire * ppb_h)
-            if candidate > best:
-                best = candidate
-        result = best + cfg.software_delay_ps
-        self._xpod_cache[length] = result
-        return result
-
-
 def build_fabric(sim: Simulator, spec: TopologySpec, *, seed: int = 1,
                  overrides: dict | None = None) -> Network:
-    """Build the network a :class:`TopologySpec` describes.
-
-    Clean 2-level specs *lower* to the canonical fused-ingress
-    :class:`Network` — the same builder, the same RNG streams, the same
-    byte-exact digests as an equivalent :class:`NetworkConfig`.  Loss
-    on a 2-level fabric installs drop filters on that canonical network
-    (the filters run before the spray draw, so a zero-rate spec stays
-    untouched).  Faults or a third level require the liveness-aware
-    :class:`FabricNetwork` builder.
+    """Build the network a :class:`TopologySpec` describes: the spec's
+    shape and speeds as a :class:`NetworkConfig` plus the pod/core
+    numbers, then its loss filters (they run before the spray draw, so
+    a zero-rate spec stays untouched), then its armed fault schedule.
 
     ``overrides`` are protocol NetworkConfig overrides (queue mode, ECN,
     trimming...) from ``transport.registry.network_overrides``.
     """
-    overrides = dict(overrides or {})
-    if spec.levels == 2 and not spec.faults:
-        cfg = NetworkConfig(
-            racks=spec.racks, hosts_per_rack=spec.hosts_per_rack,
-            aggrs=spec.aggrs if spec.racks > 1 else 0,
-            host_gbps=spec.host_gbps, aggr_gbps=spec.aggr_gbps,
-            switch_delay_ns=spec.switch_delay_ns,
-            software_delay_ns=spec.software_delay_ns,
-            seed=seed, **overrides)
-        net = Network(sim, cfg)
-    else:
-        net = FabricNetwork(sim, spec, seed=seed, **overrides)
-    if spec.loss.any():
-        install_loss(net, spec.loss, seed)
+    cfg = NetworkConfig(
+        racks=spec.racks_total, hosts_per_rack=spec.hosts_per_rack,
+        aggrs=spec.pods * spec.aggrs if spec.racks_total > 1 else 0,
+        host_gbps=spec.host_gbps, aggr_gbps=spec.aggr_gbps,
+        switch_delay_ns=spec.switch_delay_ns,
+        software_delay_ns=spec.software_delay_ns,
+        seed=seed, **(overrides or {}))
+    net = Network(sim, cfg, pods=spec.pods, cores=spec.cores,
+                  core_gbps=spec.core_gbps)
+    install_loss(net, spec.loss, seed)
     if spec.faults:
-        injector = FaultInjector(sim, net, spec.faults)
-        injector.arm()
-        net.fault_injector = injector
+        net.fault_injector = FaultInjector(sim, net, spec.faults)
+        net.fault_injector.arm()
     return net

@@ -1,9 +1,9 @@
 """Reference values read off the paper's figures and tables.
 
 These are approximate (read from plots), used by benchmarks to print
-paper-vs-measured comparisons and by EXPERIMENTS.md.  They are *shape*
-targets: who wins, by what rough factor, and where crossovers fall —
-not absolute microseconds, since the substrate differs.
+paper-vs-measured comparisons.  They are *shape* targets: who wins, by
+what rough factor, and where crossovers fall — not absolute
+microseconds, since the substrate differs.
 """
 
 # Figure 12(a): 99th-percentile slowdown at 80% load, short messages

@@ -3,8 +3,8 @@
 Every figure/table benchmark builds one or more ``ExperimentConfig``s,
 calls ``run_experiment``, and formats the resulting series.  The
 defaults are a scaled-down version of the paper's Figure 11 topology
-(Python is not line-rate; DESIGN.md documents the scaling), with the
-same link speeds, delays, and protocol parameters.
+(Python is not line-rate; docs/CAMPAIGNS.md has the grid scales), with
+the same link speeds, delays, and protocol parameters.
 """
 
 from __future__ import annotations
@@ -49,7 +49,8 @@ class ExperimentConfig:
     protocol: str = "homa"
     workload: str = "W3"
     load: float = 0.8
-    # Reduced-scale defaults (same shape as Figure 11; see DESIGN.md).
+    # Reduced-scale defaults (same shape as Figure 11, whose full size
+    # is NetworkConfig's default).
     racks: int = 3
     hosts_per_rack: int = 8
     aggrs: int = 2
@@ -129,6 +130,13 @@ class ExperimentResult:
     def finish_rate(self) -> float:
         """Fraction of submitted messages that completed (stability)."""
         return self.completed / self.submitted if self.submitted else 1.0
+
+    @property
+    def duplicates(self) -> int:
+        """Messages delivered more often than submitted: an at-most-once
+        violation that ``pending`` clamps to 0 and ``finish_rate`` shows
+        only as a value above 1."""
+        return max(0, self.completed - self.submitted)
 
     def backlog_growth(self) -> float:
         """backlog(end) / backlog(mid); ~1 when stable, ~2 when the

@@ -1,7 +1,7 @@
 """Plain-text rendering of experiment results.
 
-Benchmarks print these tables; EXPERIMENTS.md records them next to the
-paper's numbers.
+Benchmarks print these tables next to the paper's numbers
+(``experiments/paper_data.py``).
 """
 
 from __future__ import annotations
@@ -52,6 +52,6 @@ def kv_table(title: str, rows: Sequence[tuple[str, str]]) -> str:
 
 def comparison_line(label: str, paper_value, measured_value,
                     unit: str = "") -> str:
-    """One paper-vs-measured row for EXPERIMENTS.md-style output."""
+    """One paper-vs-measured row."""
     return (f"  {label:<38} paper: {paper_value!s:>10}{unit}   "
             f"measured: {measured_value!s:>10}{unit}")

@@ -104,7 +104,7 @@ class FabricHealth:
     dead switch, ``black_holes`` packets whose route had no live egress
     after a failure, ``reroutes`` spray sets rewritten by fault
     application, and ``faults_applied`` schedule entries executed.  All
-    zero on a clean fabric (and on the canonical builders).
+    zero on a clean fabric.
     """
 
     drops_tor: int = 0
@@ -120,18 +120,15 @@ class FabricHealth:
         """Read the drop/reroute counters off a built network."""
         per = {"tor": 0, "aggr": 0, "core": 0}
         fault_drops = black_holes = 0
-        switches = getattr(net, "all_switches", None)
-        for switch in switches() if switches is not None else ():
-            if switch.level in per:
-                per[switch.level] += switch.injected_drops
+        for switch in net.all_switches():
+            per[switch.level] += switch.injected_drops
             fault_drops += switch.fault_drops
             black_holes += switch.routed_drops
-        injector = getattr(net, "fault_injector", None)
+        injector = net.fault_injector
         return cls(
             drops_tor=per["tor"], drops_aggr=per["aggr"],
             drops_core=per["core"], fault_drops=fault_drops,
-            black_holes=black_holes,
-            reroutes=getattr(net, "reroutes", 0),
+            black_holes=black_holes, reroutes=net.reroutes,
             faults_applied=injector.applied if injector is not None else 0,
         )
 

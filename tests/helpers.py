@@ -54,7 +54,7 @@ def fabric_cluster(
     """Fabric from a TopologySpec + one HomaTransport per host.
 
     ``build_fabric`` installs the spec's loss filters and arms its fault
-    schedule; clean 2-level specs lower to the canonical ``Network``.
+    schedule.
     """
     sim = Simulator()
     net = build_fabric(sim, spec, seed=seed, overrides=net_overrides)

@@ -1,5 +1,6 @@
 """Calibration tests: the W1-W5 reconstructions must reproduce the
-byte-weighted properties the paper states (DESIGN.md section 6)."""
+byte-weighted properties the paper states (quoted in the docstring of
+``workloads/catalog.py``)."""
 
 import numpy as np
 import pytest
@@ -94,7 +95,7 @@ def test_bucket_edges_cover_support():
 
 
 def test_means_are_plausible():
-    """Loose absolute scales (documented in DESIGN.md): W1 a few hundred
-    bytes, W5 a few megabytes."""
+    """Loose absolute scales: W1 a few hundred bytes, W5 a few
+    megabytes."""
     assert 100 <= WORKLOADS["W1"].cdf.mean() <= 500
     assert 1e6 <= WORKLOADS["W5"].cdf.mean() <= 5e6

@@ -25,6 +25,12 @@ def test_alloc_command_with_prios(capsys):
     assert "scheduled" in out
 
 
+def _summary_rows(out):
+    """The ``label : value`` rows ``repro run`` printed."""
+    return {label.strip(): value.strip() for label, _, value in (
+        line.partition(" : ") for line in out.splitlines())}
+
+
 def test_run_command_small(capsys):
     code = main([
         "run", "--protocol", "homa", "--workload", "W1",
@@ -49,8 +55,7 @@ def test_run_command_with_every_sample_in_the_warmup(capsys):
     ])
     assert code == 1
     captured = capsys.readouterr()
-    summary = {label.strip(): value.strip() for label, _, value in (
-        line.partition(" : ") for line in captured.out.splitlines())}
+    summary = _summary_rows(captured.out)
     assert summary["messages measured"] == "0"
     assert summary["submitted / completed"] == "8 / 8"
     assert summary["overall p50 slowdown"] == "n/a"
@@ -59,6 +64,36 @@ def test_run_command_with_every_sample_in_the_warmup(capsys):
     (line,) = captured.err.splitlines()
     for flag in ("--warmup-ms", "--duration-ms", "--max-messages"):
         assert flag in line
+
+
+@pytest.mark.parametrize("extra,code", [(0, 0), (1, 1)])
+def test_run_command_reports_duplicate_deliveries(capsys, monkeypatch,
+                                                  extra, code):
+    """More completions than submissions is an at-most-once violation:
+    the summary carries the count and a non-zero count fails the run."""
+    import dataclasses
+
+    import repro.__main__ as cli
+    from repro.experiments.runner import run_experiment
+
+    def stubbed(cfg):
+        result = run_experiment(dataclasses.replace(
+            cfg, racks=1, hosts_per_rack=2, aggrs=0))
+        return dataclasses.replace(result,
+                                   completed=result.submitted + extra)
+
+    monkeypatch.setattr(cli, "run_experiment", stubbed)
+    assert main(["run", "--workload", "W1", "--load", "0.3",
+                 "--duration-ms", "0.1", "--warmup-ms", "0",
+                 "--drain-ms", "2", "--max-messages", "20"]) == code
+    captured = capsys.readouterr()
+    summary = _summary_rows(captured.out)
+    assert summary["duplicate deliveries"] == str(extra)
+    if extra:
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error:") and "at-most-once" in line
+    else:
+        assert captured.err == ""
 
 
 def test_campaign_command_no_sim_figure(capsys):

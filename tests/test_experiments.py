@@ -106,9 +106,9 @@ def test_runner_net_overrides_applied():
 
 
 @pytest.mark.parametrize("fabric", [
-    None,                                              # canonical Network
+    None,                                              # plain config
     TopologySpec(levels=3, pods=2, racks=1, hosts_per_rack=2,
-                 aggrs=1, cores=1),                    # FabricNetwork
+                 aggrs=1, cores=1),                    # 3-level spec
 ], ids=["network", "fabric_network"])
 def test_runner_rejects_removed_cut_through_override(fabric):
     """The ``cut_through`` mode is gone (docs/PERFORMANCE.md); its knob

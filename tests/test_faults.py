@@ -2,7 +2,7 @@
 
 Covers the fault-injection PR's contracts end to end:
 
-* **Golden lowering** — a clean ``TopologySpec`` produces slowdown
+* **Golden clean spec** — a clean ``TopologySpec`` produces slowdown
   digests byte-identical to the equivalent ``NetworkConfig`` run, so
   every published figure is untouched by the fabric layer.
 * **Deterministic replay** — same lossy + faulty spec, same seed, same
@@ -24,7 +24,7 @@ import pytest
 from repro.core.engine import Simulator
 from repro.core.faults import FaultEvent, FaultInjector, LossRates
 from repro.core.packet import PacketType
-from repro.core.topology import FabricNetwork, Network, TopologySpec
+from repro.core.topology import Network, TopologySpec
 from repro.core.units import MS, US
 from repro.experiments.campaign import slowdown_digest
 from repro.experiments.runner import ExperimentConfig, run_experiment
@@ -49,7 +49,7 @@ LOSSY3 = TopologySpec(
 
 
 # ---------------------------------------------------------------------------
-# golden lowering: clean specs change nothing
+# golden clean spec: clean specs change nothing
 # ---------------------------------------------------------------------------
 
 
@@ -58,8 +58,8 @@ GOLDEN = dict(workload="W2", load=0.6, duration_ms=1.0,
 
 
 def test_clean_spec_digests_byte_identical_to_plain_config():
-    """The golden pin: a loss-free, fault-free TopologySpec must lower
-    to the canonical builder and reproduce its digests byte for byte."""
+    """The golden pin: a loss-free, fault-free TopologySpec must
+    reproduce the plain NetworkConfig run's digests byte for byte."""
     plain = run_experiment(ExperimentConfig(
         racks=3, hosts_per_rack=8, aggrs=2, **GOLDEN))
     spec = TopologySpec(levels=2, racks=3, hosts_per_rack=8, aggrs=2)
@@ -73,17 +73,31 @@ def test_clean_spec_digests_byte_identical_to_plain_config():
 
 
 def test_clean_two_level_spec_lowers_to_canonical_network():
+    """One builder: a clean 2-level spec and the equivalent plain
+    ``NetworkConfig`` build the same ``Network`` — same switches, same
+    ports, same rates (the golden test above pins the digests)."""
     sim, net, _ = fabric_cluster(
-        TopologySpec(levels=2, racks=2, hosts_per_rack=2, aggrs=1))
-    assert type(net) is Network
-    assert not isinstance(net, FabricNetwork)
+        TopologySpec(levels=2, racks=2, hosts_per_rack=2, aggrs=2))
+    _, plain = small_net(racks=2, hosts_per_rack=2, aggrs=2)
+    assert type(net) is type(plain) is Network
+    assert net.fault_injector is None and not net.may_drop()
+
+    def shape(network):
+        return ([(sw.name, sw.level, [p.name for p in sw.ports])
+                 for sw in network.all_switches()],
+                [(p.name, p.level, p.ppb) for p in
+                 (*network.host_up_ports, *network.all_switch_ports())])
+
+    assert shape(net) == shape(plain)
+    assert [sw.name for sw in net.aggrs] == ["aggr0.0", "aggr0.1"]
 
 
 def test_faulty_spec_builds_liveness_aware_fabric():
     sim, net, _ = fabric_cluster(LOSSY3, seed=5)
-    assert isinstance(net, FabricNetwork)
-    assert net.fault_injector is not None
+    assert type(net) is Network
+    assert net.fault_injector is not None and net.may_drop()
     assert net.fault_injector.applied == 0  # armed, not yet fired
+    assert net.next_fault_ps == int(0.4 * MS)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +315,36 @@ def test_fault_schedule_fires_in_order_with_observer():
     assert seen == [("tor0:aggr0.1", int(0.4 * MS)),
                     ("core3", int(0.6 * MS)),
                     ("tor0:aggr0.1", int(0.9 * MS))]
+
+
+def test_next_fault_time_tracks_the_schedule():
+    """``Network.next_fault_ps`` is the time of the next unapplied fault
+    — whatever order the schedule was declared in, ties included — and
+    the no-fault constant once the schedule is spent or absent.  The
+    fused ingress reads it to keep early appends clear of flushes."""
+    from dataclasses import replace
+
+    from repro.core.faults import NO_FAULT_PS
+
+    spec = replace(NARROW3, faults=(
+        FaultEvent(0.03, "link", "up", "tor0:aggr0.0"),
+        FaultEvent(0.01, "link", "down", "tor0:aggr0.0"),
+        FaultEvent(0.02, "switch", "down", "core0"),
+        FaultEvent(0.02, "link", "down", "tor1:aggr1.0"),
+    ))
+    sim, net, _ = fabric_cluster(spec)
+    seen = []
+    net.fault_injector.subscribe(
+        lambda ev, now_ps: seen.append((now_ps, net.next_fault_ps)))
+    assert net.next_fault_ps == 10 * US
+    sim.run(until_ps=15 * US)
+    assert net.next_fault_ps == 20 * US
+    sim.run()
+    assert seen == [(10 * US, 20 * US), (20 * US, 20 * US),
+                    (20 * US, 30 * US), (30 * US, NO_FAULT_PS)]
+    assert net.next_fault_ps == NO_FAULT_PS
+    for clean in (fabric_cluster(NARROW3)[1], small_net(racks=2, aggrs=1)[1]):
+        assert clean.next_fault_ps == NO_FAULT_PS
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import L0_SHIFT, L1_SHIFT, Simulator
+from repro.core.faults import FaultEvent, LossRates
 from repro.core.packet import MAX_PAYLOAD, Packet, PacketType
 from repro.core.port import PfabricPort, QueuedPort
+from repro.core.topology import TopologySpec
 from repro.core.units import US
 from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.homa.config import HomaConfig
@@ -430,28 +432,69 @@ def test_w4_digest_byte_identical_to_seed():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("workload", ["W1", "W3", "W4"])
-def test_fused_ingress_matches_unfused_reference(workload):
+def _assert_fused_matches_probed(**cfg):
     """An attached probe (or delay tracing) disables arrival fusion, so
     a probed run is the per-hop reference: every arrival takes its
-    scheduled event.  The unprobed run must reproduce its slowdown
-    digests byte for byte while actually fusing — strictly fewer events
-    (862/880, 1,497/1,574 and 153,051/161,530 when this was written)."""
-    def run(collect):
-        return run_experiment(ExperimentConfig(
-            protocol="homa", workload=workload, load=0.8,
-            racks=2, hosts_per_rack=4, aggrs=2,
-            duration_ms=1.5, warmup_ms=0.3, drain_ms=8.0,
-            seed=7, max_messages=120,
-            homa=HomaConfig(grant_batch_ns=0), collect=collect))
-
-    fused = run(())
-    unfused = run(("queues", "delays"))
-    for pct in (50, 99):
-        assert ([repr(x) for x in fused.slowdown_series(pct)]
-                == [repr(x) for x in unfused.slowdown_series(pct)])
+    scheduled event.  The unprobed run must reproduce it sample for
+    sample, counter for counter, while actually fusing — strictly fewer
+    events."""
+    fused = run_experiment(ExperimentConfig(collect=(), **cfg))
+    unfused = run_experiment(ExperimentConfig(
+        collect=("queues", "delays"), **cfg))
+    assert fused.tracker.sizes == unfused.tracker.sizes
+    assert fused.tracker.slowdowns == unfused.tracker.slowdowns
     assert fused.completed == unfused.completed
+    assert fused.fabric.to_payload() == unfused.fabric.to_payload()
+    assert fused.control.to_payload() == unfused.control.to_payload()
     assert fused.events < unfused.events
+    return fused
+
+
+@pytest.mark.parametrize("workload", ["W1", "W3", "W4"])
+def test_fused_ingress_matches_unfused_reference(workload):
+    """Clean 2-level tree (862/880, 1,497/1,574 and 153,051/161,530
+    events when this was written)."""
+    _assert_fused_matches_probed(
+        protocol="homa", workload=workload, load=0.8,
+        racks=2, hosts_per_rack=4, aggrs=2,
+        duration_ms=1.5, warmup_ms=0.3, drain_ms=8.0,
+        seed=7, max_messages=120, homa=HomaConfig(grant_batch_ns=0))
+
+
+#: the benchmark's lossy, faulted 3-level fabric (benchmarks/perf,
+#: ``protocols_w3_lossy3``), re-declared so the test stands alone
+LOSSY3_BENCH = TopologySpec(
+    levels=3, pods=2, racks=2, hosts_per_rack=8, aggrs=2, cores=4,
+    host_gbps=10, aggr_gbps=25, core_gbps=100,
+    loss=LossRates(tor=0.01, aggr=0.01, core=0.01),
+    faults=(FaultEvent(0.14, "link", "down", "tor0:aggr0.1"),
+            FaultEvent(0.22, "switch", "down", "core0"),
+            FaultEvent(0.32, "link", "up", "tor0:aggr0.1")))
+
+
+@pytest.mark.parametrize("protocol,seed", [
+    ("stream", 6), ("stream", 8), ("homa", 24), ("phost", 5)])
+def test_fused_ingress_matches_unfused_reference_across_faults(protocol,
+                                                               seed):
+    """A fault flushes egress buffers, so a packet appended early must
+    already have arrived when one fires: the ingress fuses only if the
+    real arrival precedes ``Network.next_fault_ps``.  Each seed here
+    diverges from the probed run without that term (stream seed 6:
+    ``fault_drops`` 5 against 0)."""
+    fused = _assert_fused_matches_probed(
+        protocol=protocol, workload="W3", load=0.5, fabric=LOSSY3_BENCH,
+        duration_ms=0.3, warmup_ms=0.1, drain_ms=20.0, seed=seed)
+    assert fused.tracker.count and fused.fabric.faults_applied == 3
+
+
+def test_clean_three_level_fabric_fuses():
+    """Fusion is a property of each port, not of the 2-level builder."""
+    fused = _assert_fused_matches_probed(
+        protocol="homa", workload="W3", load=0.8,
+        fabric=TopologySpec(levels=3, pods=2, racks=2, hosts_per_rack=4,
+                            aggrs=2, cores=2),
+        duration_ms=0.3, warmup_ms=0.1, drain_ms=5.0, seed=3)
+    assert fused.tracker.count and not fused.fabric.any()
 
 
 # ---------------------------------------------------------------------------

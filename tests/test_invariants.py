@@ -219,3 +219,28 @@ def test_prop_rpc_conservation_under_loss(schedule, rate, seed):
     allowance = (stats["errors"]
                  + sum(t.reexecutions for t in transports))
     assert orphans <= allowance
+
+
+# ---------------------------------------------------------------------------
+# pinned seeds: at-most-once bugs the benchmark wrote down (ROADMAP item 1)
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.slow
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: a 5 MB W4 message starved behind shorter ones "
+    "outlives max_resends x resend_interval; the receiver gives up, the "
+    "sender restarts from scratch and both copies complete (1399 "
+    "completions of 1398 submissions).  Delete this mark with the fix."))
+def test_homa_w4_seed10_delivers_at_most_once():
+    """``benchmarks/perf`` workload ``homa_w4_clean`` at seed 10: the
+    paper's Figure 11 fabric, clean, per-packet grants."""
+    from repro.experiments.runner import ExperimentConfig, run_experiment
+
+    result = run_experiment(ExperimentConfig(
+        protocol="homa", workload="W4", load=0.8,
+        racks=9, hosts_per_rack=16, aggrs=4,
+        duration_ms=3.0, warmup_ms=0.5, drain_ms=100.0,
+        max_messages=1440, seed=10, homa=HomaConfig(grant_batch_ns=0)))
+    assert result.duplicates == 0
+    assert result.completed <= result.submitted

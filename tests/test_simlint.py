@@ -478,13 +478,13 @@ def test_sched_arity_flags_lambda_and_local_def():
             def fire():
                 pass
             sim.schedule1(10, fire, pkt)
-            sim.schedule_at1(20, lambda: None, pkt)
+            sim.schedule1(20, lambda: None, pkt)
         """,
         "sched-arity",
     )
     assert sorted(f.detail for f in hits) == [
+        "schedule1:<lambda>:expected=1",
         "schedule1:fire:expected=1",
-        "schedule_at1:<lambda>:expected=1",
     ]
 
 
@@ -743,6 +743,29 @@ def test_doc_drift_pragma_waives():
     )
     assert result.findings == []
     assert len(result.waived) == 1
+
+
+DOC_POINTER_SRC = '''
+    """Framing model (see DESIGN.md section 3, docs/CONFIG.md and
+    FABRICS.md; ``*.md`` globs are not pointers)."""
+
+    def frame():
+        return 84  # minimum wire size, as EXPERIMENTS.md tabulates
+'''
+
+
+def test_doc_drift_flags_pointers_to_missing_markdown():
+    hits = rule_hits(
+        DOC_POINTER_SRC, "doc-drift",
+        docs={"docs/CONFIG.md": "", "docs/FABRICS.md": ""})
+    assert [(f.line, f.detail) for f in hits] == [
+        (2, "missing-doc:DESIGN.md"), (6, "missing-doc:EXPERIMENTS.md")]
+
+
+def test_doc_drift_passes_when_every_pointer_resolves():
+    docs = dict.fromkeys(("DESIGN.md", "EXPERIMENTS.md", "docs/CONFIG.md",
+                          "docs/FABRICS.md"), "")
+    assert rule_hits(DOC_POINTER_SRC, "doc-drift", docs=docs) == []
 
 
 # -- registry-hooks -----------------------------------------------------

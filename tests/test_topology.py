@@ -40,7 +40,7 @@ def test_min_oneway_small_message_close_to_paper():
     net = make_net()
     t = net.min_oneway_ps(1)
     # Paper: "The minimum one-way time for a small message is 2.3 us";
-    # our framing gives 2.418 us (documented in DESIGN.md).
+    # our framing gives 2.418 us (the model in core/packet.py).
     assert 2_300_000 <= t <= 2_500_000
 
 
