@@ -3,8 +3,9 @@
 One process plays coordinator (in a thread, via ``run_farm``) while
 real ``python -m repro farm-worker`` subprocesses play the fleet, so
 every protocol frame crosses an actual loopback socket and every worker
-death is an actual SIGKILL.  Three stages, all at tiny scale on the
-Fig 17 campaign (docs/CAMPAIGNS.md, farm section):
+death is an actual SIGKILL.  Four stages, all at tiny scale
+(docs/CAMPAIGNS.md, farm section); the first three on the Fig 17
+campaign:
 
 1. **Identity** — a 2-worker farmed run must match the serial run:
    byte-identical cache entries (modulo the nondeterministic
@@ -17,6 +18,13 @@ Fig 17 campaign (docs/CAMPAIGNS.md, farm section):
    deterministic crash hook after one journaled cell; the journal must
    survive, and a restarted coordinator must complete only the missing
    cells and then retire the journal.
+4. **Killed local run** — ``python -m repro campaign fig08 --jobs 2
+   --fresh`` runs in its own session and is SIGKILLed, process group
+   and all, once its first cell is cached and journaled.  The same
+   command re-run must compute fewer than all cells, leave no journal,
+   and give the serial digest.  (Fig 08's seven cells, not Fig 17's two:
+   a two-worker pool finishes Fig 17's two equal cells within
+   milliseconds of each other, leaving no moment to kill between them.)
 
 Exit status is the assertion: non-zero on any violated contract.
 """
@@ -25,6 +33,8 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -43,6 +53,7 @@ from repro.experiments.campaign import (  # noqa: E402
     slowdown_digest,
 )
 
+import bench_fig08_fig09_implementation as bench08  # noqa: E402
 import bench_fig17_unsched_prios as bench  # noqa: E402
 
 
@@ -184,8 +195,49 @@ def main() -> int:
     log("stage 3 ok: restart completed only the missing cells from the "
         "journal, digest still identical")
 
+    killed_local_run(tmp)
     log("all stages passed")
     return 0
+
+
+def killed_local_run(tmp: Path) -> None:
+    """Stage 4: a SIGKILLed ``campaign --jobs 2 --fresh`` resumes."""
+    (spec,) = bench08.campaign_specs()
+    serial = run_pooled([spec], jobs=1, cache_dir=tmp / "serial08",
+                        quiet=True)
+    serial_digest = slowdown_digest(serial[spec.name])
+    cache = tmp / "killed"
+    env = dict(worker_env(), REPRO_CACHE_DIR=str(cache))
+    cmd = [sys.executable, "-m", "repro", "campaign", "fig08",
+           "--jobs", "2", "--fresh"]
+    journal_path = cache / "journal" / f"{spec.name}.jsonl"
+
+    proc = subprocess.Popen(cmd, env=env, start_new_session=True)
+    deadline = time.monotonic() + 600
+    while not (journal_path.exists() and "\n" in journal_path.read_text()):
+        assert proc.poll() is None, "the run ended before it was killed"
+        assert time.monotonic() < deadline, "no cell landed in 600 s"
+        time.sleep(0.01)
+    os.killpg(proc.pid, signal.SIGKILL)
+    proc.wait(timeout=60)
+    log(f"stage 4: killed the --jobs 2 run after "
+        f"{len(list(cache.glob('*.json')))} of {len(spec.cells)} cells")
+
+    rerun = subprocess.run(cmd, env=env, capture_output=True, text=True,
+                           timeout=600)
+    sys.stdout.write(rerun.stdout + rerun.stderr)
+    assert rerun.returncode == 0, "the re-run failed"
+    counts = re.search(rf"\[campaign {re.escape(spec.name)}\] (\d+) cells: "
+                       r"(\d+) computed", rerun.stderr)
+    assert counts, "the re-run printed no campaign summary"
+    total, computed = map(int, counts.groups())
+    assert computed < total, f"the re-run computed all {total} cells"
+    assert not journal_path.exists(), "journal not retired on completion"
+    again = run_pooled([spec], jobs=1, cache_dir=cache, quiet=True)
+    assert again[spec.name].computed == 0
+    assert slowdown_digest(again[spec.name]) == serial_digest
+    log(f"stage 4 ok: the re-run computed {computed} of {total} cells, "
+        f"retired the journal, digest identical to serial")
 
 
 if __name__ == "__main__":

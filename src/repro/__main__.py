@@ -6,7 +6,7 @@ Commands:
   slowdown table
 * ``campaign``    — regenerate a paper figure's whole simulation grid,
   sharded over a process pool (or a worker farm via ``--farm``), with
-  on-disk result caching
+  on-disk result caching and a journal that resumes a killed run
 * ``farm-worker`` — join a campaign farm coordinator and compute cells
 * ``workloads``   — list the built-in workloads
 * ``alloc``       — show Homa's priority allocation for a workload
@@ -92,14 +92,17 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     # Figure pairs (8/9, 12/13) share one module; run each module once.
     modules = {name: importlib.import_module(name) for name in
                dict.fromkeys(CAMPAIGNS[target][0] for target in targets)}
-    if getattr(args, "farm", None) is not None:
-        # Warm the shared cache over the worker farm (falls back to the
-        # local pool when nobody connects), then render per figure from
-        # cache hits — byte-identical either way.
+    pooled_modules = set()
+    if args.farm is not None or len(modules) > 1:
+        # Pool every figure's pending cells into one global
+        # largest-cell-first queue, so workers stay busy across the
+        # skewed per-figure grids (W5 cells dominate) — served to the
+        # worker farm with --farm.  This warms the shared cache; each
+        # figure's run_figure() below then renders from cache hits,
+        # byte-identical to running it alone.
+        from repro.experiments import campaign as campaign_mod
         from repro.experiments import farm as farm_mod
-        host, port = farm_mod.parse_address(args.farm)
         specs = []
-        pooled_modules = set()
         for name, module in modules.items():
             if hasattr(module, "campaign_specs"):
                 specs.extend(module.campaign_specs())
@@ -108,30 +111,13 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             else:
                 continue
             pooled_modules.add(name)
-        if specs:
+        if args.farm is None:
+            campaign_mod.run_pooled(specs, jobs=args.jobs, fresh=args.fresh)
+        else:
+            host, port = farm_mod.parse_address(args.farm)
             farm_mod.run_farm(specs, host=host, port=port, jobs=args.jobs,
                               fresh=args.fresh, farm_wait_s=args.farm_wait,
                               retry_budget=args.farm_retries)
-    elif len(modules) > 1:
-        # Pool every figure's pending cells into one global
-        # largest-cell-first queue, so workers stay busy across the
-        # skewed per-figure grids (W5 cells dominate).  This warms the
-        # shared cache; each figure's run_figure() below then renders
-        # from cache hits, byte-identical to running it alone.
-        from repro.experiments import campaign as campaign_mod
-        specs = []
-        pooled_modules = set()
-        for name, module in modules.items():
-            if hasattr(module, "campaign_specs"):
-                specs.extend(module.campaign_specs())
-            elif hasattr(module, "campaign_spec"):
-                specs.append(module.campaign_spec())
-            else:
-                continue
-            pooled_modules.add(name)
-        campaign_mod.run_pooled(specs, jobs=args.jobs, fresh=args.fresh)
-    else:
-        pooled_modules = set()
     paths = []
     for name, module in modules.items():
         # After a pooled warm-up the per-figure pass must read the

@@ -1,13 +1,14 @@
-"""Declarative experiment campaigns: a grid of cells, a shard
-scheduler, and an on-disk result cache.
+"""Declarative experiment campaigns: a grid of cells and an on-disk
+result cache.
 
 The paper's evaluation is a grid of *independent* simulations over
 (protocol x workload x load).  A :class:`CampaignSpec` names that grid
-once; :func:`run` executes it — fanning cells out over a
-``ProcessPoolExecutor`` when ``jobs > 1`` (worker count from the
-``--jobs`` CLI flag or the ``REPRO_JOBS`` environment variable, serial
-fallback at ``jobs=1``) — and memoizes each cell's result on disk under
-``benchmarks/results/cache/``.
+once; :func:`run` / :func:`run_pooled` execute it through the one
+campaign executor in :mod:`repro.experiments.farm` — in-process at
+``jobs=1``, over a process pool otherwise (worker count from the
+``--jobs`` CLI flag or the ``REPRO_JOBS`` environment variable) — and
+memoize each cell's result on disk under ``benchmarks/results/cache/``,
+journaling the sweep beside it so a killed run resumes.
 
 Three properties the benchmarks rely on:
 
@@ -33,8 +34,6 @@ import hashlib
 import json
 import os
 import sys
-import time
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from importlib import import_module
 from pathlib import Path
@@ -210,6 +209,11 @@ def cell_hash(cell: Cell) -> str:
 
 # -- the on-disk cache ---------------------------------------------------
 
+def _sanitize(name: str) -> str:
+    """A campaign name as a file-name component."""
+    return "".join(c if c.isalnum() or c in "-_." else "_" for c in name)
+
+
 class ResultCache:
     """JSON payloads keyed by ``cell_hash`` under one directory."""
 
@@ -218,12 +222,12 @@ class ResultCache:
             cache_dir = os.environ.get("REPRO_CACHE_DIR") or DEFAULT_CACHE_DIR
         self.dir = Path(cache_dir)
 
-    def _sanitize(self, name: str) -> str:
-        return "".join(c if c.isalnum() or c in "-_." else "_" for c in name)
-
     def path_for(self, campaign: str, cell: Cell) -> Path:
-        return (self.dir
-                / f"{self._sanitize(campaign)}-{cell_hash(cell)}.json")
+        return self.entry(campaign, cell_hash(cell))
+
+    def entry(self, campaign: str, chash: str) -> Path:
+        """``path_for`` from an already computed ``cell_hash``."""
+        return self.dir / f"{_sanitize(campaign)}-{chash}.json"
 
     def load(self, path: Path) -> Any | None:
         """The payload, or None on miss (or an unreadable/stale file)."""
@@ -292,28 +296,15 @@ def resolve_jobs(jobs: int | None = None) -> int:
     return jobs
 
 
-def _run_cell(task: str, spec: Any) -> Any:
-    """Worker entry point: resolve and run one cell's task."""
-    return _resolve(task)(spec)
-
-
-def _init_worker(parent_sys_path: list[str]) -> None:
-    """Make benchmark-defined tasks importable under any multiprocessing
-    start method (fork inherits sys.path; spawn/forkserver do not)."""
-    for entry in reversed(parent_sys_path):
-        if entry not in sys.path:
-            sys.path.insert(0, entry)
-
-
 def run(spec: CampaignSpec, *, jobs: int | None = None, fresh: bool = False,
         cache_dir: str | os.PathLike | None = None,
         quiet: bool = False) -> CampaignResults:
     """Execute a campaign; returns decoded results in cell order.
 
     ``fresh=True`` bypasses cache lookups (results are still stored, so
-    a fresh run repopulates the cache).  One campaign is simply a
-    single-member pool — `run_pooled` holds the only copy of the
-    scheduling/caching/failure machinery.
+    a fresh run repopulates the cache) except for cells the journal of
+    an interrupted run of this same sweep vouches for.  One campaign is
+    simply a single-member pool.
     """
     results = run_pooled([spec], jobs=jobs, fresh=fresh,
                          cache_dir=cache_dir, quiet=True)[spec.name]
@@ -363,76 +354,14 @@ def run_pooled(specs: list[CampaignSpec], *, jobs: int | None = None,
     cache keys, same payloads), so decoded results — and therefore
     slowdown digests — are byte-identical to running each figure
     alone.  Returns ``{campaign name: CampaignResults}``.
+
+    This is ``farm.run_farm``'s sweep without a listening socket: every
+    finished cell is also journaled under ``<cache dir>/journal/``, so
+    a killed run restarted on the same sweep resumes, even when fresh.
     """
-    jobs = resolve_jobs(jobs)
-    cache = ResultCache(cache_dir)
-    start = time.monotonic()
-
-    payloads: dict[str, dict[Hashable, Any]] = {s.name: {} for s in specs}
-    pending: list[tuple[str, Cell, Path]] = []
-    for spec in specs:
-        for cell in spec.cells:
-            path = cache.path_for(spec.name, cell)
-            payload = None if fresh else cache.load(path)
-            if payload is None:
-                pending.append((spec.name, cell, path))
-            else:
-                payloads[spec.name][cell.key] = payload
-    pending.sort(key=lambda item: _cell_cost(item[1]), reverse=True)
-
-    if pending and jobs == 1:
-        for name, cell, path in pending:
-            try:
-                payload = _run_cell(cell.task, cell.spec)
-            except Exception as exc:
-                raise CampaignCellError(name, cell, exc) from exc
-            cache.store(path, name, cell, payload)
-            payloads[name][cell.key] = payload
-    elif pending:
-        with ProcessPoolExecutor(
-                max_workers=min(jobs, len(pending)),
-                initializer=_init_worker,
-                initargs=(list(sys.path),)) as pool:
-            futures = {pool.submit(_run_cell, cell.task, cell.spec):
-                       (name, cell, path) for name, cell, path in pending}
-            wait(futures, return_when=FIRST_EXCEPTION)
-            failed: tuple[str, Cell, BaseException] | None = None
-            for future, (name, cell, path) in futures.items():
-                if not future.done() or future.cancelled():
-                    continue
-                exc = future.exception()
-                if exc is not None:
-                    failed = failed or (name, cell, exc)
-                    continue
-                payload = future.result()
-                cache.store(path, name, cell, payload)
-                payloads[name][cell.key] = payload
-            if failed is not None:
-                pool.shutdown(cancel_futures=True)
-                name, cell, exc = failed
-                raise CampaignCellError(name, cell, exc) from exc
-
-    wall = time.monotonic() - start
-    out: dict[str, CampaignResults] = {}
-    computed = {name: 0 for name in payloads}
-    for name, _, _ in pending:
-        computed[name] += 1
-    for spec in specs:
-        results = CampaignResults(
-            (cell.key, _resolve(cell.decode)(payloads[spec.name][cell.key]))
-            for cell in spec.cells)
-        results.name = spec.name
-        results.jobs = jobs
-        results.computed = computed[spec.name]
-        results.cached = len(spec.cells) - computed[spec.name]
-        results.wall_seconds = wall
-        out[spec.name] = results
-    if not quiet:
-        total = sum(len(s.cells) for s in specs)
-        print(f"[campaign pool] {len(specs)} campaigns, {total} cells: "
-              f"{len(pending)} computed, {total - len(pending)} cached "
-              f"(jobs={jobs}, {wall:.1f}s)", file=sys.stderr)
-    return out
+    from repro.experiments.farm import _run_sweep  # farm imports this module
+    return _run_sweep(specs, None, jobs=jobs, fresh=fresh,
+                      cache_dir=cache_dir, quiet=quiet)
 
 
 def slowdown_digest(results: Mapping[Hashable, ExperimentResult]) -> str:

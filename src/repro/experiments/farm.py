@@ -1,13 +1,13 @@
-"""Distributed campaign farm: the pooled cell queue served over TCP.
+"""The campaign executor: one sweep, run locally or served to a farm.
 
-``campaign.run_pooled`` is the single-host half of a cluster scheduler:
-a global largest-cell-first queue, a content-hash result cache, exact
-payload round-trips, and ``CampaignCellError`` attribution.  This module
-is the fleet half, in the style of FireSim's externally-provisioned run
-farms: a coordinator serves that same queue over a line-delimited
-JSON/TCP protocol (:mod:`repro.experiments.wire`), and any number of
-worker processes — ``python -m repro farm-worker <host:port>`` — pull
-cells, execute them through the existing ``_run_cell`` task path, and
+Every campaign run is one sweep (:func:`_run_sweep`) over one
+largest-cell-first queue: ``campaign.run_pooled`` drains it locally —
+in-process at ``jobs == 1``, else over one process pool — and
+:func:`run_farm` also serves it, in the style of FireSim's
+externally-provisioned run farms, over a line-delimited JSON/TCP
+protocol (:mod:`repro.experiments.wire`) to any number of worker
+processes — ``python -m repro farm-worker <host:port>`` — that pull
+cells, execute them through the same ``_run_cell`` task path, and
 stream payloads back into the shared on-disk cache.
 
 Identity contract: serial, pooled, and farmed runs of one spec produce
@@ -24,18 +24,18 @@ Robustness model (docs/CAMPAIGNS.md, farm section):
   the queue.  Each requeue burns one unit of the cell's bounded retry
   budget; exhaustion raises :class:`~repro.experiments.campaign.
   CampaignCellError` naming the cell, exactly like a local failure.
-* **Idempotence** — results are keyed by cell id; a duplicate delivery
-  (a presumed-dead worker that was merely slow) is ignored, so a cell
-  lands in the cache and journal exactly once.
-* **Resumability** — every completed cell is appended to a per-campaign
-  journal (``benchmarks/results/journal/<campaign>.jsonl``) tagged with
-  a sweep id.  A killed coordinator restarted on the same spec loads
-  the journal and completes only the missing cells, even under
+* **Hostile peers** — a ``result`` or ``error`` frame naming a cell its
+  connection does not hold is a ``ProtocolError``: the peer is dropped,
+  its cells are requeued, and nothing reaches the cache or journal.
+* **Resumability** — every completed cell, local or farmed, is appended
+  to a per-campaign journal (``<cache dir>/journal/<campaign>.jsonl``)
+  tagged with a sweep id.  A killed run restarted on the same spec
+  loads the journal and completes only the missing cells, even under
   ``--fresh``.  A completed sweep deletes its journal.
 * **Fallback** — if no worker connects within the grace window (or all
   workers die and none return), the coordinator drains the remaining
-  cells itself through the local pool, so ``--farm`` never strands a
-  campaign.
+  cells itself through the local executor, so ``--farm`` never strands
+  a campaign.
 """
 
 from __future__ import annotations
@@ -48,9 +48,10 @@ import sys
 import threading
 import time
 import traceback
-from collections import deque
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from collections import Counter, deque
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Hashable
 
@@ -61,9 +62,8 @@ from repro.experiments.campaign import (
     Cell,
     ResultCache,
     _cell_cost,
-    _init_worker,
     _resolve,
-    _run_cell,
+    _sanitize,
     cell_hash,
     resolve_jobs,
 )
@@ -73,11 +73,6 @@ from repro.experiments.wire import (
     FrameConn,
     ProtocolError,
 )
-
-#: default journal location, next to the result cache; override with
-#: ``REPRO_JOURNAL_DIR`` or the ``journal_dir`` argument
-DEFAULT_JOURNAL_DIR = (Path(__file__).resolve().parents[3]
-                       / "benchmarks" / "results" / "journal")
 
 #: how many worker deaths one cell survives before the sweep fails
 DEFAULT_RETRY_BUDGET = 2
@@ -97,6 +92,21 @@ _JOIN_TIMEOUT_S = 10.0
 
 class FarmInterrupted(RuntimeError):
     """The coordinator stopped mid-sweep (crash hook); journal kept."""
+
+
+# -- cell execution --------------------------------------------------------
+
+def _run_cell(task: str, spec: Any) -> Any:
+    """Worker entry point: resolve and run one cell's task."""
+    return _resolve(task)(spec)
+
+
+def _init_worker(parent_sys_path: list[str]) -> None:
+    """Make benchmark-defined tasks importable under any multiprocessing
+    start method (fork inherits sys.path; spawn/forkserver do not)."""
+    for entry in reversed(parent_sys_path):
+        if entry not in sys.path:
+            sys.path.insert(0, entry)
 
 
 # -- spec transport ------------------------------------------------------
@@ -139,19 +149,22 @@ def sweep_id(specs: list[CampaignSpec], fresh: bool) -> str:
     any edit to the grid (or to simulator code, via ``cell_hash``'s
     fingerprint) changes the id and retires the old journal.
     """
+    return _sweep_id(specs, [[cell_hash(cell) for cell in spec.cells]
+                             for spec in specs], fresh)
+
+
+def _sweep_id(specs: list[CampaignSpec], hashes: list[list[str]],
+              fresh: bool) -> str:
+    """``sweep_id`` over cell hashes the caller already computed."""
     digest = hashlib.sha256()
     digest.update(b"fresh" if fresh else b"cached")
-    for spec in specs:
-        for cell in spec.cells:
+    for spec, chashes in zip(specs, hashes):
+        for chash in chashes:
             digest.update(spec.name.encode())
             digest.update(b"\0")
-            digest.update(cell_hash(cell).encode())
+            digest.update(chash.encode())
             digest.update(b"\0")
     return digest.hexdigest()[:16]
-
-
-def _sanitize(name: str) -> str:
-    return "".join(c if c.isalnum() or c in "-_." else "_" for c in name)
 
 
 class Journal:
@@ -159,17 +172,14 @@ class Journal:
 
     One line per completed cell: ``{"v": 1, "sweep": <id>, "cell":
     <cell hash>, "key": <repr of the cell key>}``.  Loading tolerates a
-    torn final line (the coordinator died mid-append); any valid record
-    from a *different* sweep retires the whole file, which is truncated
-    on the next write.  ``complete()`` deletes the files — a journal on
-    disk always means an unfinished sweep.
+    torn final line (the run died mid-append); any valid record from a
+    *different* sweep retires the whole file, which is truncated on the
+    next write.  ``complete()`` deletes the files — a journal on disk
+    always means an unfinished sweep.
     """
 
     def __init__(self, sweep: str, campaigns: list[str],
-                 journal_dir: str | os.PathLike | None = None) -> None:
-        if journal_dir is None:
-            journal_dir = (os.environ.get("REPRO_JOURNAL_DIR")
-                           or DEFAULT_JOURNAL_DIR)
+                 journal_dir: str | os.PathLike) -> None:
         self.dir = Path(journal_dir)
         self.sweep = sweep
         self._paths = {name: self.dir / f"{_sanitize(name)}.jsonl"
@@ -221,11 +231,11 @@ class Journal:
                 pass
 
 
-# -- coordinator state ---------------------------------------------------
+# -- sweep state ---------------------------------------------------------
 
 @dataclass
 class _Item:
-    """One pending cell with everything both execution paths need."""
+    """One pending cell with everything every execution path needs."""
 
     campaign: str
     cell: Cell
@@ -247,22 +257,26 @@ class _WorkerConn:
 
 
 class _FarmState:
-    """Lock-protected sweep state shared by every connection thread."""
+    """Lock-protected sweep state: the one work queue, its results, and
+    the run stats, shared by the local executor and every connection
+    thread.
+
+    Invariant: a cell id is in ``worker.holding`` exactly when
+    ``in_flight`` maps it to that worker."""
 
     def __init__(self, items: list[_Item], *, retry_budget: int,
                  cache: ResultCache, journal: Journal,
                  crash_after: int | None = None) -> None:
         self.lock = threading.Lock()
         self.items = {item.cell_id: item for item in items}
-        ordered = sorted(items, key=lambda it: it.cost, reverse=True)
         self.wire_queue: deque[_Item] = deque(
-            it for it in ordered if it.wire_spec is not None)
+            it for it in items if it.wire_spec is not None)
         self.local_queue: deque[_Item] = deque(
-            it for it in ordered if it.wire_spec is None)
+            it for it in items if it.wire_spec is None)
         self.in_flight: dict[str, _WorkerConn] = {}
         self.attempts: dict[str, int] = {}
         self.payloads: dict[str, Any] = {}
-        self.computed: set[str] = set()
+        self.workers_ever = 0
         self.requeues = 0
         self.duplicates = 0
         self.retry_budget = retry_budget
@@ -274,6 +288,11 @@ class _FarmState:
         self.fallback = False
         self.done = threading.Event()
 
+    def stopped(self) -> bool:
+        """A cell failed or the crash hook fired: start nothing new."""
+        with self.lock:
+            return self.failure is not None or self.crashed
+
     # -- dispatch --------------------------------------------------------
 
     def checkout(self, worker: _WorkerConn) -> tuple[str, Any]:
@@ -284,30 +303,21 @@ class _FarmState:
                 return ("abort", str(self.failure))
             if self.crashed:
                 return ("abort", "coordinator interrupted (crash hook)")
-            while self.wire_queue:
+            if self.wire_queue:
                 item = self.wire_queue.popleft()
-                if item.cell_id in self.payloads:
-                    continue  # completed while requeued (slow twin won)
                 self.in_flight[item.cell_id] = worker
                 worker.holding.add(item.cell_id)
                 return ("cell", item)
-            if self.in_flight:
-                return ("wait", None)
-            return ("done", None)
+            return ("wait", None) if self.in_flight else ("done", None)
 
     def pop_local(self) -> _Item | None:
         with self.lock:
-            while self.local_queue:
-                item = self.local_queue.popleft()
-                if item.cell_id not in self.payloads:
-                    return item
-            return None
+            return self.local_queue.popleft() if self.local_queue else None
 
     def adopt_wire_locally(self) -> list[_Item]:
-        """Local-pool fallback: take every queued wire cell."""
+        """Local fallback: take every queued wire cell."""
         with self.lock:
-            taken = [it for it in self.wire_queue
-                     if it.cell_id not in self.payloads]
+            taken = list(self.wire_queue)
             self.wire_queue.clear()
             return taken
 
@@ -317,52 +327,56 @@ class _FarmState:
 
     # -- results ---------------------------------------------------------
 
+    def _named_item(self, cell_id: Any, worker: _WorkerConn | None) -> _Item:
+        """The cell a result or error names; a peer may name only a cell
+        its connection holds (``worker`` None: the local executor)."""
+        item = self.items.get(cell_id) if isinstance(cell_id, str) else None
+        if item is None or (worker is not None
+                            and cell_id not in worker.holding):
+            raise ProtocolError(
+                f"frame names cell {cell_id!r}, which this connection "
+                f"does not hold")
+        return item
+
     def deliver(self, cell_id: Any, payload: Any,
                 worker: _WorkerConn | None) -> bool:
         """Record one result; False (and no effect) for duplicates."""
         with self.lock:
-            item = self.items.get(cell_id)
-            if item is None:
-                raise ProtocolError(f"result for unknown cell {cell_id!r}")
-            if worker is not None and self.in_flight.get(cell_id) is worker:
+            item = self._named_item(cell_id, worker)
+            if worker is not None:
                 del self.in_flight[cell_id]
                 worker.holding.discard(cell_id)
-            if item.cell_id in self.payloads:
+            if cell_id in self.payloads:
                 self.duplicates += 1
                 return False  # idempotent: first delivery won
-            self.payloads[item.cell_id] = payload
-            self.computed.add(item.cell_id)
+            self.payloads[cell_id] = payload
             self.cache.store(item.path, item.campaign, item.cell, payload)
             self.journal.record(item.campaign, item.chash, item.cell)
             if (self.crash_after is not None
-                    and len(self.computed) >= self.crash_after):
+                    and len(self.payloads) >= self.crash_after):
                 self.crashed = True
                 self.done.set()
             if len(self.payloads) == len(self.items):
                 self.done.set()
             return True
 
-    def fail_cell(self, cell_id: Any, cause: BaseException) -> None:
+    def fail_cell(self, cell_id: Any, cause: BaseException,
+                  worker: _WorkerConn | None) -> None:
         """A cell's task raised (deterministic failure: no retry)."""
         with self.lock:
-            item = self.items.get(cell_id)
-            if item is None:
-                raise ProtocolError(f"error for unknown cell {cell_id!r}")
+            item = self._named_item(cell_id, worker)
             if self.failure is None:
                 self.failure = CampaignCellError(item.campaign, item.cell,
                                                  cause)
+                self.failure.__cause__ = cause
             self.done.set()
 
     def release_worker(self, worker: _WorkerConn) -> None:
         """Worker gone: requeue its in-flight cells, budget permitting."""
         with self.lock:
             for cell_id in sorted(worker.holding):
-                if self.in_flight.get(cell_id) is not worker:
-                    continue
                 del self.in_flight[cell_id]
                 item = self.items[cell_id]
-                if cell_id in self.payloads:
-                    continue
                 count = self.attempts.get(cell_id, 0) + 1
                 self.attempts[cell_id] = count
                 if count > self.retry_budget:
@@ -382,15 +396,6 @@ class _FarmState:
 
 # -- the coordinator -----------------------------------------------------
 
-@dataclass
-class _FarmStats:
-    workers_ever: int = 0
-    fallback: bool = False
-    requeues: int = 0
-    duplicates: int = 0
-    resumed: dict[str, int] = field(default_factory=dict)
-
-
 class FarmCoordinator:
     """Accepts workers and serves the queue; one thread per connection."""
 
@@ -403,7 +408,6 @@ class FarmCoordinator:
         self.host, self.port = self._server.getsockname()[:2]
         self._lock = threading.Lock()
         self.workers: list[_WorkerConn] = []
-        self.workers_ever = 0
         self.last_departure = time.monotonic()
         self._accept_thread: threading.Thread | None = None
         #: every accepted connection with its thread, hello'd or not, so
@@ -451,7 +455,7 @@ class FarmCoordinator:
             worker.name = str(hello.get("worker") or worker.name)
             with self._lock:
                 self.workers.append(worker)
-                self.workers_ever += 1
+                self.state.workers_ever += 1
             self._log(f"worker {worker.name} joined")
             conn.send({"type": "welcome", "protocol": PROTOCOL_VERSION,
                        "sweep": self.sweep})
@@ -498,7 +502,8 @@ class FarmCoordinator:
                 trace = frame.get("traceback")
                 if trace:
                     detail = f"{detail}\n(worker traceback)\n{trace}"
-                self.state.fail_cell(frame.get("id"), RuntimeError(detail))
+                self.state.fail_cell(frame.get("id"), RuntimeError(detail),
+                                     worker)
             else:
                 raise ProtocolError(f"unexpected frame type {kind!r}")
 
@@ -535,26 +540,33 @@ class FarmCoordinator:
             thread.join(_JOIN_TIMEOUT_S)
 
 
-# -- execution -----------------------------------------------------------
+# -- local execution -----------------------------------------------------
+
+def _execute_local(state: _FarmState, items: list[_Item], jobs: int) -> None:
+    """The one local executor: in-process at ``jobs == 1`` or for a
+    single cell, else the process pool."""
+    if jobs == 1 or len(items) == 1:
+        _execute_serial(state, items)
+    else:
+        _execute_pool(state, items, jobs)
+
 
 def _execute_serial(state: _FarmState, items: list[_Item]) -> None:
     for item in items:
-        with state.lock:
-            stop = (state.failure is not None or state.crashed
-                    or item.cell_id in state.payloads)
-        if stop:
-            if state.failure is not None or state.crashed:
-                return
-            continue
+        if state.stopped():
+            return
         try:
             payload = _run_cell(item.cell.task, item.cell.spec)
         except Exception as exc:
-            state.fail_cell(item.cell_id, exc)
+            state.fail_cell(item.cell_id, exc, None)
             return
         state.deliver(item.cell_id, payload, None)
 
 
 def _execute_pool(state: _FarmState, items: list[_Item], jobs: int) -> None:
+    """Every cell is cached and journaled as it lands, so a killed
+    ``--jobs N`` run keeps what it finished; the first failure cancels
+    every cell not yet started."""
     with ProcessPoolExecutor(max_workers=min(jobs, len(items)),
                              initializer=_init_worker,
                              initargs=(list(sys.path),)) as pool:
@@ -562,20 +574,108 @@ def _execute_pool(state: _FarmState, items: list[_Item], jobs: int) -> None:
                    for it in items}
         pending = set(futures)
         while pending:
-            finished, pending = wait(pending, return_when=FIRST_EXCEPTION)
+            finished, pending = wait(pending, return_when=FIRST_COMPLETED)
             for future in finished:
                 item = futures[future]
                 exc = future.exception()
-                if exc is not None:
-                    state.fail_cell(item.cell_id, exc)
-                    pool.shutdown(cancel_futures=True)
-                    return
-                state.deliver(item.cell_id, future.result(), None)
-            with state.lock:
-                interrupted = state.crashed or state.failure is not None
-            if interrupted:
+                if exc is None:
+                    state.deliver(item.cell_id, future.result(), None)
+                else:
+                    state.fail_cell(item.cell_id, exc, None)
+            if state.stopped():
                 pool.shutdown(cancel_futures=True)
                 return
+
+
+# -- the sweep -----------------------------------------------------------
+
+def _run_sweep(specs: list[CampaignSpec],
+               serve: Callable[[_FarmState, str, int], None] | None, *,
+               jobs: int | None, fresh: bool,
+               cache_dir: str | os.PathLike | None,
+               journal_dir: str | os.PathLike | None = None,
+               retry_budget: int = DEFAULT_RETRY_BUDGET,
+               crash_after: int | None = None,
+               quiet: bool) -> dict[str, CampaignResults]:
+    """Execute campaigns as one largest-cell-first queue; decoded
+    results in cell order.  ``serve(state, sweep, jobs)`` drains the
+    queue (the farm coordinator); ``None`` runs it on the local
+    executor."""
+    jobs = resolve_jobs(jobs)
+    cache = ResultCache(cache_dir)
+    start = time.monotonic()
+
+    hashes = [[cell_hash(cell) for cell in spec.cells] for spec in specs]
+    sweep = _sweep_id(specs, hashes, fresh)
+    journal = Journal(sweep, [s.name for s in specs],
+                      cache.dir / "journal" if journal_dir is None
+                      else journal_dir)
+
+    payloads: dict[str, dict[Hashable, Any]] = {s.name: {} for s in specs}
+    resumed = dict.fromkeys(payloads, 0)
+    items: list[_Item] = []
+    for spec, chashes in zip(specs, hashes):
+        journal_done = journal.done[spec.name]
+        for cell, chash in zip(spec.cells, chashes):
+            path = cache.entry(spec.name, chash)
+            # Under --fresh only the journal vouches for an entry: the
+            # interrupted run of this same sweep computed it.
+            payload = (cache.load(path) if not fresh or chash in journal_done
+                       else None)
+            if payload is None:
+                items.append(_Item(
+                    campaign=spec.name, cell=cell, path=path, chash=chash,
+                    cell_id=f"{spec.name}/{chash}",
+                    wire_spec=encode_spec(cell.spec), cost=_cell_cost(cell)))
+            else:
+                payloads[spec.name][cell.key] = payload
+                if fresh:
+                    resumed[spec.name] += 1
+    items.sort(key=lambda it: it.cost, reverse=True)
+
+    state = _FarmState(items, retry_budget=retry_budget, cache=cache,
+                       journal=journal, crash_after=crash_after)
+    if items:
+        if serve is None:
+            _execute_local(state, items, jobs)
+        else:
+            serve(state, sweep, jobs)
+        if state.failure is not None:
+            raise state.failure
+        if state.crashed:
+            raise FarmInterrupted(
+                f"coordinator interrupted after {len(state.payloads)} "
+                f"cell(s); journal retained for resume (sweep {sweep})")
+        for item in items:
+            payloads[item.campaign][item.cell.key] = \
+                state.payloads[item.cell_id]
+
+    journal.complete()
+    wall = time.monotonic() - start
+
+    computed = Counter(item.campaign for item in items)
+    out: dict[str, CampaignResults] = {}
+    for spec in specs:
+        results = out[spec.name] = CampaignResults(
+            (cell.key,
+             _resolve(cell.decode)(payloads[spec.name][cell.key]))
+            for cell in spec.cells)
+        results.name = spec.name
+        results.jobs = jobs
+        results.computed = computed[spec.name]
+        results.cached = len(spec.cells) - computed[spec.name]
+        results.wall_seconds = wall
+        results.farm_workers = state.workers_ever
+        results.farm_requeues = state.requeues
+        results.farm_resumed = resumed[spec.name]
+        results.farm_fallback = state.fallback
+    if not quiet:
+        total = sum(len(s.cells) for s in specs)
+        print(f"[campaign] {len(specs)} campaigns, {total} cells: "
+              f"{len(items)} computed, {total - len(items)} cached/resumed "
+              f"(jobs={jobs}, {state.workers_ever} farm worker(s), "
+              f"{state.requeues} requeue(s), {wall:.1f}s)", file=sys.stderr)
+    return out
 
 
 def run_farm(specs: list[CampaignSpec], *, host: str = "127.0.0.1",
@@ -590,148 +690,68 @@ def run_farm(specs: list[CampaignSpec], *, host: str = "127.0.0.1",
              ) -> dict[str, CampaignResults]:
     """Execute campaigns over a worker farm; same contract as
     ``run_pooled`` (decoded results in cell order, identical cache
-    entries and digests).
+    entries and digests), plus the ``farm_*`` stats.
 
     ``on_listening(port)`` fires once the coordinator socket is bound —
     the hook tests and the smoke harness use to launch workers against
     an ephemeral port.  ``crash_after=N`` is the crash-injection hook:
     the coordinator raises :class:`FarmInterrupted` after journaling N
     cells, leaving the journal for a resume run.  ``farm_wait_s`` is the
-    grace window before the local-pool fallback (no worker ever
-    connected, or every worker died and none returned).
+    grace window before the local fallback (no worker ever connected,
+    or every worker died and none returned).  The journal lives in
+    ``<cache dir>/journal/`` unless ``journal_dir`` names another.
     """
-    jobs = resolve_jobs(jobs)
-    cache = ResultCache(cache_dir)
-    start = time.monotonic()
-
-    sweep = sweep_id(specs, fresh)
-    journal = Journal(sweep, [s.name for s in specs], journal_dir)
-
-    payloads: dict[str, dict[Hashable, Any]] = {s.name: {} for s in specs}
-    items: list[_Item] = []
-    stats = _FarmStats()
-    for spec in specs:
-        resumed = 0
-        journal_done = journal.done.get(spec.name, set())
-        for cell in spec.cells:
-            path = cache.path_for(spec.name, cell)
-            chash = cell_hash(cell)
-            payload = None if fresh else cache.load(path)
-            if payload is None and chash in journal_done:
-                # The interrupted sweep already computed this cell; its
-                # payload is in the cache even under --fresh.
-                payload = cache.load(path)
-                if payload is not None:
-                    resumed += 1
-            if payload is None:
-                items.append(_Item(
-                    campaign=spec.name, cell=cell, path=path, chash=chash,
-                    cell_id=f"{spec.name}/{chash}",
-                    wire_spec=encode_spec(cell.spec),
-                    cost=_cell_cost(cell)))
-            else:
-                payloads[spec.name][cell.key] = payload
-        stats.resumed[spec.name] = resumed
-
-    state = _FarmState(items, retry_budget=retry_budget, cache=cache,
-                       journal=journal, crash_after=crash_after)
-
-    if items:
-        coordinator = FarmCoordinator(state, sweep, host=host, port=port,
-                                      quiet=quiet)
-        coordinator.start()
-        if not quiet:
-            print(f"[farm] coordinator on {coordinator.host}:"
-                  f"{coordinator.port}: {len(items)} cells, sweep {sweep}",
-                  file=sys.stderr)
-        if on_listening is not None:
-            on_listening(coordinator.port)
-        try:
-            _serve(state, coordinator, jobs=jobs, farm_wait_s=farm_wait_s,
-                   liveness_timeout_s=liveness_timeout_s)
-        finally:
-            stats.workers_ever = coordinator.workers_ever
-            stats.requeues = state.requeues
-            stats.duplicates = state.duplicates
-            stats.fallback = state.fallback
-            coordinator.close()
-        if state.failure is not None:
-            raise state.failure
-        if state.crashed:
-            raise FarmInterrupted(
-                f"coordinator interrupted after {len(state.computed)} "
-                f"cell(s); journal retained for resume (sweep {sweep})")
-        for item in items:
-            payloads[item.campaign][item.cell.key] = \
-                state.payloads[item.cell_id]
-
-    journal.complete()
-    wall = time.monotonic() - start
-
-    computed_by: dict[str, int] = {s.name: 0 for s in specs}
-    for item in items:
-        if item.cell_id in state.computed:
-            computed_by[item.campaign] += 1
-    out: dict[str, CampaignResults] = {}
-    for spec in specs:
-        results = CampaignResults(
-            (cell.key,
-             _resolve(cell.decode)(payloads[spec.name][cell.key]))
-            for cell in spec.cells)
-        results.name = spec.name
-        results.jobs = jobs
-        results.computed = computed_by[spec.name]
-        results.cached = len(spec.cells) - computed_by[spec.name]
-        results.wall_seconds = wall
-        results.farm_workers = stats.workers_ever
-        results.farm_requeues = stats.requeues
-        results.farm_resumed = stats.resumed.get(spec.name, 0)
-        results.farm_fallback = stats.fallback
-        out[spec.name] = results
-    if not quiet:
-        total = sum(len(s.cells) for s in specs)
-        mode = "fallback pool" if stats.fallback else "farm"
-        print(f"[farm] {len(specs)} campaigns, {total} cells: "
-              f"{len(state.computed)} computed ({mode}), "
-              f"{total - len(state.computed)} cached/resumed, "
-              f"{stats.workers_ever} worker(s), {stats.requeues} "
-              f"requeue(s), {wall:.1f}s", file=sys.stderr)
-    return out
+    serve = partial(_serve, host=host, port=port, quiet=quiet,
+                    on_listening=on_listening, farm_wait_s=farm_wait_s,
+                    liveness_timeout_s=liveness_timeout_s)
+    return _run_sweep(specs, serve, jobs=jobs, fresh=fresh,
+                      cache_dir=cache_dir, journal_dir=journal_dir,
+                      retry_budget=retry_budget, crash_after=crash_after,
+                      quiet=quiet)
 
 
-def _serve(state: _FarmState, coordinator: FarmCoordinator, *, jobs: int,
+def _serve(state: _FarmState, sweep: str, jobs: int, *, host: str,
+           port: int, quiet: bool,
+           on_listening: Callable[[int], None] | None,
            farm_wait_s: float, liveness_timeout_s: float) -> None:
     """The coordinator main loop: liveness, local cells, fallback."""
-    started = time.monotonic()
-    while not state.done.wait(0.05):
-        coordinator.kill_silent(liveness_timeout_s)
+    coordinator = FarmCoordinator(state, sweep, host=host, port=port,
+                                  quiet=quiet)
+    coordinator.start()
+    try:
+        coordinator._log(f"coordinator on {coordinator.host}:"
+                         f"{coordinator.port}: {len(state.items)} cells, "
+                         f"sweep {sweep}")
+        if on_listening is not None:
+            on_listening(coordinator.port)
+        started = time.monotonic()
+        while not state.done.wait(0.05):
+            coordinator.kill_silent(liveness_timeout_s)
 
-        # Cells that cannot cross the wire run here, alongside workers.
-        item = state.pop_local()
-        if item is not None:
-            _execute_serial(state, [item])
-            continue
+            # Cells that cannot cross the wire run here, alongside workers.
+            item = state.pop_local()
+            if item is not None:
+                _execute_serial(state, [item])
+                continue
 
-        # Fallback: nobody is coming (never connected, or all dead past
-        # the grace window) — drain the remaining cells locally.
-        if not coordinator.live_workers() and state.wire_work_remains():
-            now = time.monotonic()
-            if coordinator.workers_ever == 0:
-                idle = now - started
-            else:
-                idle = now - coordinator.last_departure
-            if idle >= farm_wait_s and not state.in_flight:
-                adopted = state.adopt_wire_locally()
-                if adopted:
-                    coordinator._log(
-                        f"no live workers after {idle:.1f}s: running "
-                        f"{len(adopted)} cell(s) on the local pool "
-                        f"(jobs={jobs})")
-                    state.fallback = True
-                    if jobs == 1 or len(adopted) == 1:
-                        _execute_serial(state, adopted)
-                    else:
-                        _execute_pool(state, adopted, jobs)
+            # Fallback: nobody is coming (never connected, or all dead
+            # past the grace window) — drain the remaining cells locally.
+            if not coordinator.live_workers() and state.wire_work_remains():
+                now = time.monotonic()
+                if state.workers_ever == 0:
+                    idle = now - started
+                else:
+                    idle = now - coordinator.last_departure
+                if idle >= farm_wait_s and not state.in_flight:
+                    adopted = state.adopt_wire_locally()
+                    if adopted:
+                        coordinator._log(
+                            f"no live workers after {idle:.1f}s: running "
+                            f"{len(adopted)} cell(s) locally (jobs={jobs})")
+                        state.fallback = True
+                        _execute_local(state, adopted, jobs)
+    finally:
+        coordinator.close()
 
 
 # -- the worker ----------------------------------------------------------

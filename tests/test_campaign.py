@@ -3,7 +3,9 @@ scheduler's determinism, the on-disk cache, and max-load collation."""
 
 import dataclasses
 import json
+import os
 import shutil
+import time
 from array import array
 from pathlib import Path
 
@@ -11,7 +13,7 @@ import pytest
 
 from repro.core.faults import FaultEvent, LossRates
 from repro.core.topology import TopologySpec
-from repro.experiments import campaign
+from repro.experiments import campaign, farm
 from repro.experiments.maxload import (
     MaxLoadResult,
     collate_max_load,
@@ -323,6 +325,81 @@ def test_campaign_pool_failure_keeps_completed_siblings(tmp_path):
                          jobs=2, cache_dir=tmp_path, quiet=True)
     assert retry.cached >= 1
     assert retry.cached + retry.computed == 2
+
+
+def gate_task(spec):
+    """Returns ``spec["x"]``; with ``wait_for``, only once that file (a
+    sibling's cache entry) exists."""
+    deadline = time.monotonic() + 10.0
+    while spec.get("wait_for") and not Path(spec["wait_for"]).exists():
+        if time.monotonic() > deadline:
+            raise TimeoutError(f"sibling entry never landed: "
+                               f"{spec['wait_for']}")
+        time.sleep(0.02)
+    return spec["x"]
+
+
+def flaky_task(spec):
+    """Returns ``spec["x"]``; with ``needs``, raises until that file
+    exists."""
+    if spec.get("needs") and not Path(spec["needs"]).exists():
+        raise RuntimeError(f"{spec['needs']} does not exist yet")
+    return spec["x"]
+
+
+def _custom_cell(key, task, **spec):
+    return campaign.Cell(key=key, spec=spec,
+                         task=f"tests.test_campaign:{task}",
+                         decode=campaign.IDENTITY_DECODE)
+
+
+@pytest.mark.parametrize("path", ["pooled", "farm_fallback"])
+def test_pool_caches_each_cell_as_it_lands(tmp_path, path):
+    """A ``--jobs N`` run stores every cell the moment it finishes, so
+    a killed run keeps its finished cells: the gate cell only returns
+    once its sibling's cache entry exists."""
+    quick = _custom_cell("quick", "gate_task", x=1)
+    entry = campaign.ResultCache(tmp_path).path_for("gate", quick)
+    gate = _custom_cell("gate", "gate_task", x=2, wait_for=str(entry))
+    spec = campaign.CampaignSpec(name="gate", cells=(quick, gate))
+    if path == "pooled":
+        out = campaign.run_pooled([spec], jobs=2, cache_dir=tmp_path,
+                                  quiet=True)
+    else:
+        out = farm.run_farm([spec], jobs=2, cache_dir=tmp_path,
+                            farm_wait_s=0.0, quiet=True)
+        assert out["gate"].farm_fallback
+    assert dict(out["gate"]) == {"quick": 1, "gate": 2}
+
+
+def _listing(directory: Path):
+    return sorted(os.listdir(directory)) if directory.is_dir() else None
+
+
+def test_fresh_local_sweep_resumes_from_its_journal(tmp_path):
+    """A local ``--fresh`` sweep journals every finished cell beside the
+    cache; re-running the same sweep after a failure computes only the
+    missing cells and then retires the journal."""
+    marker = tmp_path / "ready"
+    spec = campaign.CampaignSpec(name="resume", cells=tuple(
+        [_custom_cell(i, "flaky_task", x=i) for i in range(3)]
+        + [_custom_cell("flaky", "flaky_task", x=9, needs=str(marker))]))
+    outside = [campaign.DEFAULT_CACHE_DIR, campaign.DEFAULT_CACHE_DIR.parent]
+    before = [_listing(d) for d in outside]
+    cache_dir = tmp_path / "cache"
+    with pytest.raises(campaign.CampaignCellError, match="'flaky'"):
+        campaign.run_pooled([spec], jobs=1, fresh=True, cache_dir=cache_dir,
+                            quiet=True)
+    journal = cache_dir / "journal" / "resume.jsonl"
+    assert len(journal.read_text().splitlines()) == 3
+
+    marker.touch()
+    out = campaign.run_pooled([spec], jobs=1, fresh=True,
+                              cache_dir=cache_dir, quiet=True)["resume"]
+    assert dict(out) == {0: 0, 1: 1, 2: 2, "flaky": 9}
+    assert (out.computed, out.cached, out.farm_resumed) == (1, 3, 3)
+    assert not journal.exists()
+    assert [_listing(d) for d in outside] == before
 
 
 # -- speculative max-load collation --------------------------------------

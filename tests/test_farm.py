@@ -418,8 +418,9 @@ def test_untransportable_spec_runs_locally_alongside_workers(tmp_path):
                              2: {"value": 4}, "local": {"value": 81}}
 
 
-def test_malformed_frame_disconnects_without_poisoning_queue(tmp_path):
-    spec = square_spec(n=4)
+def _coordinate_in_thread(spec, tmp_path):
+    """``run_farm`` in a thread that waits 30 s for workers; returns
+    (port, thread, box) where ``box["out"]`` is its result."""
     port_box = {}
     port_ready = threading.Event()
     out_box = {}
@@ -436,28 +437,69 @@ def test_malformed_frame_disconnects_without_poisoning_queue(tmp_path):
     coord = threading.Thread(target=coordinator, daemon=True)
     coord.start()
     assert port_ready.wait(timeout=30)
-    port = port_box["port"]
+    return port_box["port"], coord, out_box
 
-    # A peer that registers, checks out a cell, then sends garbage.
-    sock = socket.create_connection(("127.0.0.1", port))
+
+def _vandal_holding_a_cell(port):
+    """A registered peer that has checked out one cell: (sock, conn,
+    the held cell's id)."""
+    sock = socket.create_connection(("127.0.0.1", port), timeout=10)
     conn = FrameConn(sock)
     conn.send({"type": "hello", "protocol": PROTOCOL_VERSION,
                "worker": "vandal"})
     assert conn.recv()["type"] == "welcome"
     conn.send({"type": "next"})
-    assert conn.recv()["type"] == "cell"  # now holding a cell
-    sock.sendall(b"this is not a frame\n")
-    assert conn.recv() is None  # coordinator hung up on us
-    conn.close()
+    cell = conn.recv()
+    assert cell["type"] == "cell"  # now holding a cell
+    return sock, conn, cell["id"]
 
-    # A healthy worker still completes the whole sweep, including the
-    # cell the vandal was holding.
+
+def _healthy_worker_completes(spec, port, coord, out_box):
+    """A healthy worker completes the whole sweep, including the cell
+    the vandal was holding (requeued exactly once)."""
     farm.worker_loop("127.0.0.1", port, name="healthy")
     coord.join(timeout=60)
     assert not coord.is_alive()
     results = out_box["out"][spec.name]
     assert dict(results) == {i: {"value": i * i} for i in range(4)}
     assert results.farm_requeues == 1
+
+
+def test_malformed_frame_disconnects_without_poisoning_queue(tmp_path):
+    spec = square_spec(n=4)
+    port, coord, out_box = _coordinate_in_thread(spec, tmp_path)
+    sock, conn, _ = _vandal_holding_a_cell(port)
+    sock.sendall(b"this is not a frame\n")
+    assert conn.recv() is None  # coordinator hung up on us
+    conn.close()
+    _healthy_worker_completes(spec, port, coord, out_box)
+
+
+@pytest.mark.filterwarnings(  # a connection thread must not crash
+    "error::pytest.PytestUnhandledThreadExceptionWarning")
+@pytest.mark.parametrize("kind", ["result", "error", "unhashable_id"])
+def test_frame_for_a_cell_the_peer_does_not_hold_is_refused(tmp_path, kind):
+    """A peer may report only on cells it holds: a forged result would
+    poison another cell's cache entry, a forged error would abort the
+    sweep.  Either drops the peer and writes nothing."""
+    spec = square_spec(n=4)
+    port, coord, out_box = _coordinate_in_thread(spec, tmp_path)
+    _, conn, held = _vandal_holding_a_cell(port)
+    queued = next(f"{spec.name}/{cell_hash(cell)}" for cell in spec.cells
+                  if f"{spec.name}/{cell_hash(cell)}" != held)
+    conn.send({"result": {"type": "result", "id": queued,
+                          "payload": {"value": -1}},
+               "error": {"type": "error", "id": queued,
+                         "error": "forged failure"},
+               "unhashable_id": {"type": "result", "id": [queued],
+                                 "payload": {"value": -1}}}[kind])
+    assert conn.recv() is None  # coordinator hung up on us
+    conn.close()
+    cache = ResultCache(tmp_path / "cache")
+    assert not any(cache.path_for(spec.name, cell).exists()
+                   for cell in spec.cells)
+    assert not (tmp_path / "journal" / f"{spec.name}.jsonl").exists()
+    _healthy_worker_completes(spec, port, coord, out_box)
 
 
 def _refuse_skewed_worker(tmp_path, spoken, rescue):
