@@ -4,10 +4,11 @@ resumable journal, and the coordinator's retry/fallback semantics."""
 import json
 import socket
 import threading
+import time
 
 import pytest
 
-from repro.experiments import farm
+from repro.experiments import farm, wire
 from repro.experiments.campaign import (
     IDENTITY_DECODE,
     CampaignCellError,
@@ -143,6 +144,88 @@ def test_eof_mid_frame_raises_protocol_error():
     reader = frames_from(b'{"type": "truncated"')
     with pytest.raises(ProtocolError):
         reader.read_frame()
+
+
+class TrickleSocket:
+    """A fake socket whose ``recv`` yields ``data`` ``piece`` bytes at a
+    time, however much the caller asks for: a slow peer."""
+
+    def __init__(self, data: bytes, piece: int) -> None:
+        self._view = memoryview(data)
+        self._piece = piece
+
+    def recv(self, _bufsize: int) -> bytes:
+        chunk = bytes(self._view[:self._piece])
+        self._view = self._view[self._piece:]
+        return chunk
+
+
+def test_trickled_frame_reads_in_linear_time():
+    """A 16 MB frame in 1 KB pieces: rescanning the whole buffer after
+    every piece made this quadratic (≈5 s); resuming the scan where the
+    last one stopped reads it in a small fraction of a second."""
+    blob = "x" * (16 * 1024 * 1024)
+    reader = FrameReader(TrickleSocket(
+        encode_frame({"type": "blob", "data": blob}), 1024))
+    start = time.perf_counter()
+    frame = reader.read_frame()
+    elapsed = time.perf_counter() - start
+    assert frame == {"type": "blob", "data": blob}
+    assert reader.read_frame() is None
+    assert elapsed < 1.0, f"16 MB frame took {elapsed:.2f} s"
+
+
+def test_trickled_frames_keep_blank_lines_and_following_frames():
+    """The resumed scan restarts at each consumed frame: blank lines are
+    skipped and a frame sharing a piece with its predecessor is found."""
+    data = (b"\n \n" + encode_frame({"type": "a", "v": "y" * 50})
+            + encode_frame({"type": "b"}) + b"\n" + encode_frame({"type": "c"}))
+    # 64: frame a's tail arrives in the same piece as all of b
+    for piece in (1, 7, 64, len(data)):
+        reader = FrameReader(TrickleSocket(data, piece))
+        assert [reader.read_frame()["type"] for _ in range(3)] \
+            == ["a", "b", "c"]
+        assert reader.read_frame() is None
+
+
+def test_trickled_oversized_frame_raises_protocol_error(monkeypatch):
+    monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 4096)
+    reader = FrameReader(TrickleSocket(b"z" * 10_000, 100))
+    with pytest.raises(ProtocolError, match="exceeds 4096 bytes"):
+        reader.read_frame()
+
+
+def test_farm_sockets_disable_nagle(tmp_path, monkeypatch):
+    """Both ends of a farm connection set TCP_NODELAY, so a worker's
+    small ``next`` frame never waits behind the delayed ACK of its large
+    ``result`` frame; a socketpair (no Nagle) still works."""
+    seen = []
+
+    class RecordingConn(FrameConn):
+        def __init__(self, sock):
+            super().__init__(sock)
+            seen.append((sock.getsockname(), sock.getpeername(),
+                         sock.getsockopt(socket.IPPROTO_TCP,
+                                         socket.TCP_NODELAY)))
+
+    monkeypatch.setattr(farm, "FrameConn", RecordingConn)
+    spec = square_spec(n=2)
+    out = run_farm_with_workers([spec], tmp_path, workers=1)
+    assert out[spec.name].farm_workers == 1
+    # The coordinator's accepted socket and the worker's socket: the two
+    # ends of one connection.
+    assert len(seen) == 2
+    assert (seen[0][0], seen[0][1]) == (seen[1][1], seen[1][0])
+    assert all(nodelay for _, _, nodelay in seen), seen
+
+    a, b = socket.socketpair()
+    left, right = FrameConn(a), FrameConn(b)
+    try:
+        left.send({"type": "ping", "n": 1})
+        assert right.recv() == {"type": "ping", "n": 1}
+    finally:
+        left.close()
+        right.close()
 
 
 # -- spec transport ------------------------------------------------------
