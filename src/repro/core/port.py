@@ -446,15 +446,16 @@ class PfabricPort(BasePort):
     (0 for ACKs/probes, which makes them most urgent).  The buffer is a
     couple of bandwidth-delay products, as in the pFabric paper.
 
-    Dequeue-min and drop-max are both served by heaps sharing one entry
-    list ``[fine_prio, arrival_seq, pkt]`` per packet; an entry whose
-    packet slot is None is dead and skipped lazily.  ``arrival_seq``
-    breaks fine-priority ties FIFO on the min side and oldest-first on
-    the max side, matching the linear-scan semantics this replaces.
+    One min-heap of ``(fine_prio, arrival_seq, pkt)`` entries, one per
+    queued packet, serves dequeue; ``arrival_seq`` breaks fine-priority
+    ties FIFO.  Overflow is rare and the buffer holds at most a few
+    hundred packets, so the drop victim (largest ``fine_prio``, oldest
+    among ties) is found by scanning the heap, removed, and the heap
+    re-heapified: the heap holds exactly the queued packets, never
+    anything the port has already sent or dropped.
     """
 
-    __slots__ = ("_min_heap", "_max_heap", "_arrivals", "qbytes",
-                 "buffer_bytes")
+    __slots__ = ("_heap", "_arrivals", "qbytes", "buffer_bytes")
 
     def __init__(
         self,
@@ -467,59 +468,48 @@ class PfabricPort(BasePort):
         buffer_bytes: int,
     ) -> None:
         super().__init__(sim, name, gbps, deliver, level)
-        self._min_heap: list[list] = []   # [fine_prio, seq, pkt-or-None]
-        self._max_heap: list[list] = []   # [-fine_prio, seq, entry]
+        self._heap: list[tuple] = []   # (fine_prio, seq, pkt)
         self._arrivals = 0
         self.qbytes = 0
         self.buffer_bytes = buffer_bytes
 
     def enqueue(self, pkt: Packet) -> None:
+        heap = self._heap
         while self.qbytes + pkt.wire > self.buffer_bytes:
-            victim_entry = self._largest_entry()
-            if victim_entry is None or -victim_entry[0] <= pkt.fine_prio:
+            entry = max(heap, key=_drop_order, default=None)
+            if entry is None or entry[0] <= pkt.fine_prio:
                 # The arrival is the least urgent: drop it.
                 self.drops += 1
                 if self.probe is not None:
                     self.probe.on_drop(self.sim.now, pkt)
                 return
-            inner = victim_entry[2]
-            victim = inner[2]
-            inner[2] = None  # kill: the min heap skips it lazily
-            heapq.heappop(self._max_heap)
+            heap.remove(entry)
+            heapq.heapify(heap)
+            victim = entry[2]
             self.qbytes -= victim.wire
             self.drops += 1
             if self.probe is not None:
                 self.probe.on_drop(self.sim.now, victim)
         self._arrivals += 1
-        entry = [pkt.fine_prio, self._arrivals, pkt]
-        heapq.heappush(self._min_heap, entry)
-        heapq.heappush(self._max_heap, [-pkt.fine_prio, self._arrivals, entry])
+        heappush(heap, (pkt.fine_prio, self._arrivals, pkt))
         self.qbytes += pkt.wire
         if self.probe is not None:
             self.probe.on_queue_change(self.sim.now, self.qbytes)
         if not self.busy:
             self._next()
 
-    def _largest_entry(self) -> list | None:
-        """Live max-heap head (largest fine_prio, oldest among ties)."""
-        heap = self._max_heap
-        while heap and heap[0][2][2] is None:
-            heapq.heappop(heap)
-        return heap[0] if heap else None
-
     def _next(self) -> None:
-        heap = self._min_heap
-        while heap:
-            entry = heapq.heappop(heap)
-            pkt = entry[2]
-            if pkt is None:
-                continue
-            entry[2] = None  # kill the max-heap twin
+        if self._heap:
+            pkt = heapq.heappop(self._heap)[2]
             self.qbytes -= pkt.wire
             if self.probe is not None:
                 self.probe.on_queue_change(self.sim.now, self.qbytes)
             self._transmit(pkt)
-            return
+
+
+def _drop_order(entry: tuple) -> tuple:
+    """pFabric's drop ranking: largest ``fine_prio`` first, then oldest."""
+    return entry[0], -entry[1]
 
 
 class PullPort(BasePort):

@@ -400,10 +400,12 @@ class FarmCoordinator:
     """Accepts workers and serves the queue; one thread per connection."""
 
     def __init__(self, state: _FarmState, sweep: str, *,
-                 host: str, port: int, quiet: bool) -> None:
+                 host: str, port: int, quiet: bool,
+                 liveness_timeout_s: float) -> None:
         self.state = state
         self.sweep = sweep
         self.quiet = quiet
+        self.liveness_timeout_s = liveness_timeout_s
         self._server = socket.create_server((host, port))
         self.host, self.port = self._server.getsockname()[:2]
         self._lock = threading.Lock()
@@ -440,7 +442,11 @@ class FarmCoordinator:
     def _serve_conn(self, conn: FrameConn, addr) -> None:
         worker = _WorkerConn(conn, f"{addr[0]}:{addr[1]}")
         try:
+            # kill_silent watches registered workers only, so the wait for
+            # hello carries the liveness timeout itself.
+            conn.sock.settimeout(self.liveness_timeout_s)
             hello = conn.recv()
+            conn.sock.settimeout(None)
             if hello is None:
                 return
             if hello.get("type") != "hello":
@@ -462,6 +468,9 @@ class FarmCoordinator:
             self._serve_frames(conn, worker)
         except ProtocolError as exc:
             self._log(f"dropping worker {worker.name}: {exc}")
+        except TimeoutError:
+            self._log(f"dropping peer {worker.name}: no hello within "
+                      f"{self.liveness_timeout_s:g}s")
         except OSError:
             pass  # connection died; release below requeues its cells
         finally:
@@ -716,7 +725,8 @@ def _serve(state: _FarmState, sweep: str, jobs: int, *, host: str,
            farm_wait_s: float, liveness_timeout_s: float) -> None:
     """The coordinator main loop: liveness, local cells, fallback."""
     coordinator = FarmCoordinator(state, sweep, host=host, port=port,
-                                  quiet=quiet)
+                                  quiet=quiet,
+                                  liveness_timeout_s=liveness_timeout_s)
     coordinator.start()
     try:
         coordinator._log(f"coordinator on {coordinator.host}:"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 from repro.core.engine import Simulator
 from repro.core.topology import NetworkConfig, build_fabric, build_network
 from repro.homa.config import HomaConfig
@@ -135,6 +137,28 @@ def drain_ctrl(transport):
     while transport.ctrl:
         out.append(transport.ctrl.popleft())
     return out
+
+
+def port_leftovers(port):
+    """What each list- or deque-valued slot of ``port`` still holds,
+    for the slots that hold anything.  A list of per-priority queues
+    holds what its queues hold; a list of per-priority byte counters
+    holds its non-zero counters."""
+    held = {}
+    for cls in type(port).__mro__:
+        for name in getattr(cls, "__slots__", ()):
+            value = getattr(port, name, None)
+            if not isinstance(value, (list, deque)):
+                continue
+            items = []
+            for item in value:
+                if isinstance(item, deque):
+                    items.extend(item)
+                elif item != 0:
+                    items.append(item)
+            if items:
+                held[name] = items
+    return held
 
 
 def collect_completions(transports):

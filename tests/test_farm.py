@@ -501,7 +501,7 @@ def test_untransportable_spec_runs_locally_alongside_workers(tmp_path):
                              2: {"value": 4}, "local": {"value": 81}}
 
 
-def _coordinate_in_thread(spec, tmp_path):
+def _coordinate_in_thread(spec, tmp_path, **kw):
     """``run_farm`` in a thread that waits 30 s for workers; returns
     (port, thread, box) where ``box["out"]`` is its result."""
     port_box = {}
@@ -515,7 +515,7 @@ def _coordinate_in_thread(spec, tmp_path):
         out_box["out"] = farm.run_farm(
             [spec], cache_dir=tmp_path / "cache",
             journal_dir=tmp_path / "journal", farm_wait_s=30.0,
-            on_listening=on_listening, quiet=True)
+            on_listening=on_listening, quiet=True, **kw)
 
     coord = threading.Thread(target=coordinator, daemon=True)
     coord.start()
@@ -537,15 +537,15 @@ def _vandal_holding_a_cell(port):
     return sock, conn, cell["id"]
 
 
-def _healthy_worker_completes(spec, port, coord, out_box):
+def _healthy_worker_completes(spec, port, coord, out_box, requeues=1):
     """A healthy worker completes the whole sweep, including the cell
-    the vandal was holding (requeued exactly once)."""
+    a vandal was holding (by default one, requeued exactly once)."""
     farm.worker_loop("127.0.0.1", port, name="healthy")
     coord.join(timeout=60)
     assert not coord.is_alive()
     results = out_box["out"][spec.name]
     assert dict(results) == {i: {"value": i * i} for i in range(4)}
-    assert results.farm_requeues == 1
+    assert results.farm_requeues == requeues
 
 
 def test_malformed_frame_disconnects_without_poisoning_queue(tmp_path):
@@ -556,6 +556,24 @@ def test_malformed_frame_disconnects_without_poisoning_queue(tmp_path):
     assert conn.recv() is None  # coordinator hung up on us
     conn.close()
     _healthy_worker_completes(spec, port, coord, out_box)
+
+
+def test_peer_that_never_says_hello_is_dropped(tmp_path):
+    """A connection that stays silent before ``hello`` is under the
+    liveness timeout too: the coordinator hangs up on it mid-sweep
+    instead of holding a connection thread until the sweep ends."""
+    spec = square_spec(n=4)
+    timeout_s = 0.5
+    port, coord, out_box = _coordinate_in_thread(
+        spec, tmp_path, liveness_timeout_s=timeout_s)
+    silent = socket.create_connection(("127.0.0.1", port), timeout=10)
+    silent.settimeout(2 * timeout_s)
+    try:
+        assert silent.recv(1) == b""  # EOF: the coordinator hung up
+    finally:
+        silent.close()
+    assert coord.is_alive()  # no worker yet: the sweep is still running
+    _healthy_worker_completes(spec, port, coord, out_box, requeues=0)
 
 
 @pytest.mark.filterwarnings(  # a connection thread must not crash

@@ -275,6 +275,22 @@ def test_link_down_flushes_queue_into_fault_drops():
     assert net.reroutes > before       # spray set shrank
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "model bug (ROADMAP item 1): PfabricPort inherits BasePort.flush, "
+    "which destroys nothing, so a dead link's pFabric queue drains "
+    "across it"))
+def test_link_down_flushes_pfabric_queue_into_fault_drops():
+    sim, net, transports = fabric_cluster(NARROW3, queue_mode="pfabric")
+    transports[0].send_message(2, 50_000)
+    transports[1].send_message(3, 50_000)
+    sim.run(until_ps=30 * US)
+    uplink = net.tor_up_ports[0]       # tor0's only uplink
+    assert uplink.qbytes > 0, "no queue built; vacuous test"
+    net.apply_fault(FaultEvent(0.03, "link", "down", "tor0:aggr0.0"))
+    assert net.tors[0].fault_drops > 0
+    assert uplink.qbytes == 0
+
+
 def test_dead_path_black_holes_then_recovers_after_restore():
     """Messages in flight across a transient outage still complete:
     packets die at the dead link (black-holed), the receiver times out,

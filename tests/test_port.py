@@ -1,5 +1,8 @@
 """Unit tests for egress ports: priorities, drops, ECN, trimming, pull."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.engine import Simulator
 from repro.core.packet import (
     CTRL_PRIO,
@@ -9,6 +12,8 @@ from repro.core.packet import (
     wire_size,
 )
 from repro.core.port import PfabricPort, PortProbe, PullPort, QueuedPort
+
+from tests.helpers import port_leftovers
 
 
 def data(src=0, dst=1, *, prio=0, payload=100, fine=0, offset=0):
@@ -278,6 +283,103 @@ def test_pfabric_drops_arrival_if_it_is_least_urgent():
     port.enqueue(loser)
     sim.run()
     assert loser not in sink.out
+
+
+def test_pfabric_port_forgets_what_it_sent():
+    """A drained port holds nothing: no structure may grow with the
+    number of packets the port has carried."""
+    sim, sink = Simulator(), Collector()
+    port = PfabricPort(sim, "p", 10, sink, "tor_down",
+                       buffer_bytes=1000 * wire_size(100))
+    for i in range(1000):
+        port.enqueue(data(fine=i % 7, payload=100))
+    sim.run()
+    assert len(sink.out) == 1000 and port.drops == 0
+    assert port.qbytes == 0 and not port.busy
+    assert port_leftovers(port) == {}
+
+
+#: random enqueues (payload, fine_prio; few distinct priorities, so
+#: ties are common) interleaved with clock advances, in picoseconds
+pfabric_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("enqueue"), st.integers(min_value=0, max_value=MAX_PAYLOAD),
+                  st.integers(min_value=0, max_value=5)),
+        st.tuples(st.just("run"), st.integers(min_value=0, max_value=4_000_000),
+                  st.just(0)),
+    ),
+    max_size=80,
+)
+
+
+class ReferencePfabric:
+    """pFabric's queue as a plain list on a 10 Gbps link: transmit the
+    minimum (fine_prio, arrival); on overflow evict the maximum
+    fine_prio, oldest first, or drop the arrival if it is no more urgent
+    than that."""
+
+    def __init__(self, buffer_bytes):
+        self.buffer_bytes = buffer_bytes
+        self.queue = []          # (fine_prio, arrival, pkt)
+        self.wire_pkt = None     # the packet being transmitted
+        self.free_at = 0         # when the link frees, in ps
+        self.sent, self.dropped = [], []
+
+    def advance(self, now):
+        while self.wire_pkt is not None and self.free_at <= now:
+            self.sent.append(self.wire_pkt)
+            self.wire_pkt = None
+            if self.queue:
+                entry = min(self.queue)
+                self.queue.remove(entry)
+                self._transmit(entry[2], self.free_at)
+
+    def _transmit(self, pkt, now):
+        self.wire_pkt = pkt
+        self.free_at = now + pkt.wire * 800
+
+    def enqueue(self, pkt, arrival, now):
+        while sum(e[2].wire for e in self.queue) + pkt.wire > self.buffer_bytes:
+            worst = max(self.queue, key=lambda e: (e[0], -e[1]), default=None)
+            if worst is None or worst[0] <= pkt.fine_prio:
+                self.dropped.append(pkt)
+                return
+            self.queue.remove(worst)
+            self.dropped.append(worst[2])
+        if self.wire_pkt is None:
+            self._transmit(pkt, now)
+        else:
+            self.queue.append((pkt.fine_prio, arrival, pkt))
+
+
+@given(steps=pfabric_steps, buffer_pkts=st.sampled_from([1, 2, 3, 5]))
+@settings(max_examples=200, deadline=None)
+def test_pfabric_port_matches_reference_model(steps, buffer_pkts):
+    """Exactness: the port sends and drops exactly what the plain-list
+    model does, in the same order."""
+    buffer_bytes = buffer_pkts * wire_size(MAX_PAYLOAD)
+    sim, sink = Simulator(), Collector()
+    port = PfabricPort(sim, "p", 10, sink, "tor_down",
+                       buffer_bytes=buffer_bytes)
+    port.probe = probe = RecordingProbe()
+    ref = ReferencePfabric(buffer_bytes)
+    for i, (kind, amount, fine) in enumerate(steps):
+        if kind == "run":
+            sim.run(until_ps=sim.now + amount)
+            ref.advance(sim.now)
+        else:
+            port.enqueue(data(payload=amount, fine=fine, offset=i))
+            ref.enqueue(data(payload=amount, fine=fine, offset=i), i, sim.now)
+    sim.run()
+    ref.advance(sim.now)
+
+    def labels(pkts):
+        return [pkt.offset for pkt in pkts]
+
+    assert labels(sink.out) == labels(ref.sent)
+    assert labels(probe.dropped) == labels(ref.dropped)
+    assert port.drops == len(ref.dropped)
+    assert port_leftovers(port) == {}
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ faults.  The contract, per protocol, at event exhaustion:
   end held recoverable state, bounded by the fabric's drop count);
 * **no leaks** — no transport dictionary (inbound, outbound, flows,
   token buckets, recovery trackers) retains an entry once the event
-  queue drains; the give-up budgets guarantee exhaustion itself;
+  queue drains, and every switch port is idle with empty queues; the
+  give-up budgets guarantee exhaustion itself;
 * **clean fabrics untouched** — with no loss filters and no fault
   schedule, the recovery machinery schedules zero events, pinned
   here by byte-exact slowdown digests for all eight protocols.
@@ -37,7 +38,7 @@ from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.metrics.control import FabricHealth
 from repro.transport.registry import PROTOCOLS
 
-from tests.helpers import collect_completions, protocol_cluster
+from tests.helpers import collect_completions, port_leftovers, protocol_cluster
 
 # ---------------------------------------------------------------------------
 # shared machinery
@@ -130,7 +131,20 @@ def assert_conserved(protocol, net, transports, records, submitted):
     recovered = sum(t.rtx_recovered for t in transports)
     assert recovered <= rtx
     assert_no_leaks(transports)
+    assert_ports_drained(net)
     return missing, health
+
+
+def assert_ports_drained(net):
+    """At exhaustion every switch port is idle and holds nothing: no
+    queue, heap or buffer may keep what the port already sent or
+    dropped."""
+    for port in net.all_switch_ports():
+        assert not port.busy and port.cur_pkt is None, f"{port.name} busy"
+        assert port.qbytes == 0, f"{port.name} still queues {port.qbytes} B"
+        kept = {slot: len(items)
+                for slot, items in port_leftovers(port).items()}
+        assert not kept, f"{port.name} kept entries: {kept}"
 
 
 # A deterministic mixed-size schedule: single-packet messages, a few
