@@ -3,8 +3,8 @@
 ``HOT_FUNCTIONS`` is a manifest of the functions that run per event /
 per packet in the canonical 144-host benches: the event loop and
 schedulers, port enqueue/dequeue, the fused switch ingress, the packet
-pool, the Homa grant path, the baseline senders' NIC pulls, and the
-per-message sample recording.  Inside those functions we flag constructs
+pool, the Homa grant path, the baseline senders' NIC pulls, the
+baselines' shared receiver, and the per-message sample recording.  Inside those functions we flag constructs
 that allocate or pay per call:
 
 * nested ``def`` / ``lambda``   — a fresh closure object per call;
@@ -98,6 +98,10 @@ HOT_FUNCTIONS: dict[str, frozenset[str]] = {
         {
             "Transport.send_ctrl",
             "Transport.next_packet",
+            # The baselines' shared receiver, once per data packet.
+            "Transport._inbound_for",
+            "Transport._record",
+            "Transport._complete",
         }
     ),
     # The baseline senders' NIC pulls (docs/PERFORMANCE.md, "Sender pulls").

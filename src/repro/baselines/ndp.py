@@ -87,7 +87,6 @@ class NdpTransport(Transport):
         # creation, PULL, NACK, blind rtx; the pull verifies).  Keys come
         # from one counter, so the smallest is the flow created first.
         self._ready: list[int] = []
-        self.inbound: dict[int, InboundMessage] = {}
         # Receiver pull ring: flow keys needing pulls, round robin.
         self._pull_ring: deque[int] = deque()
         self._pulls_issued: dict[int, int] = {}  # key -> bytes pulled
@@ -96,7 +95,6 @@ class NdpTransport(Transport):
         self.pulls_sent = 0
         # Loss recovery (None on clean fabrics).
         self._flow_watch = self._tracker(self._flow_expire, self._flow_give_up)
-        self._in_watch = self._tracker(self._in_expire, self._in_give_up)
 
     # ------------------------------------------------------------------
     # sending
@@ -178,39 +176,34 @@ class NdpTransport(Transport):
         elif pkt.kind == PacketType.ACK:
             self._on_ack(pkt)
 
-    def _register_inbound(self, pkt: Packet) -> InboundMessage:
-        key = pkt.msg_key
-        msg = self.inbound.get(key)
-        if msg is None:
-            msg = InboundMessage(pkt.rpc_id, True, pkt.src, self.hid,
-                                 pkt.total_length, now_ps=self.sim.now)
-            msg.created_ps = pkt.created_ps
-            self.inbound[key] = msg
-            self._pulls_issued[key] = min(pkt.total_length, self.first_window)
-            if self._pulls_issued[key] < pkt.total_length:
-                self._pull_ring.append(key)
-                self._ensure_pacer()
-            if self._in_watch is not None:
-                self._in_watch.watch(key)
-        return msg
+    def _registered(self, msg: InboundMessage) -> None:
+        key = msg.key
+        self._pulls_issued[key] = min(msg.length, self.first_window)
+        if self._pulls_issued[key] < msg.length:
+            self._pull_ring.append(key)
+            self._ensure_pacer()
+
+    def _forget_inbound(self, key: int) -> None:
+        self._pulls_issued.pop(key, None)
+        try:
+            self._pull_ring.remove(key)
+        except ValueError:
+            pass
 
     def _on_trimmed(self, pkt: Packet) -> None:
         """A header survived where the payload was cut: NACK it so the
         sender retransmits when pulled."""
-        if (self._in_watch is not None and pkt.msg_key not in self.inbound
-                and self._recently_done(pkt.msg_key)):
-            self._note_done(pkt.msg_key)  # refresh: peer still retrying
-            self._ack_offset(pkt)  # late duplicate of a completed message
-            return
-        msg = self._register_inbound(pkt)
+        msg = self._inbound_for(pkt)
+        if msg is None:
+            return  # late duplicate of a completed message: re-ACKed
+        key = msg.key
         if self._in_watch is not None:
-            self._in_watch.touch(msg.key)
+            self._in_watch.touch(key)
         self.send_ctrl(Packet(
             self.hid, pkt.src, PacketType.NACK, prio=CTRL_PRIO,
             rpc_id=pkt.rpc_id, is_request=True,
             offset=pkt.offset, range_end=pkt.offset + MAX_PAYLOAD))
         # The trimmed bytes must be re-pulled.
-        key = msg.key
         self._pulls_issued[key] = max(
             0, self._pulls_issued.get(key, 0) - MAX_PAYLOAD)
         if key not in self._pull_ring:
@@ -218,35 +211,21 @@ class NdpTransport(Transport):
         self._ensure_pacer()
 
     def _on_data(self, pkt: Packet) -> None:
-        if (self._in_watch is not None and pkt.msg_key not in self.inbound
-                and self._recently_done(pkt.msg_key)):
-            self._note_done(pkt.msg_key)  # refresh: peer still retrying
-            self._ack_offset(pkt)  # late retransmission: re-ACK only
+        msg = self._inbound_for(pkt)
+        if msg is None:
             return
-        msg = self._register_inbound(pkt)
-        added = msg.record(pkt.offset, pkt.payload, self.sim.now)
-        if pkt.retx and added:
-            self.rtx_recovered += 1
-        if self._in_watch is not None:
-            self._in_watch.touch(msg.key)
-        self._ack_offset(pkt)
+        self._record(msg, pkt)
+        self._ack(pkt)
         if msg.is_complete():
-            key = msg.key
-            del self.inbound[key]
-            self._pulls_issued.pop(key, None)
-            try:
-                self._pull_ring.remove(key)
-            except ValueError:
-                pass
-            if self._in_watch is not None:
-                self._in_watch.forget(key)
-                self._note_done(key)
-            self._report_complete(msg)
+            self._complete(msg)
 
-    def _ack_offset(self, pkt: Packet) -> None:
+    def _ack(self, pkt: Packet) -> None:
         self.send_ctrl(Packet(
             self.hid, pkt.src, PacketType.ACK, prio=CTRL_PRIO,
             rpc_id=pkt.rpc_id, is_request=True, offset=pkt.offset))
+
+    #: a late copy of a completed message is ACKed like any other
+    _reack = _ack
 
     def _on_pull(self, pkt: Packet) -> None:
         flow = self.flows.get(pkt.msg_key)
@@ -357,16 +336,6 @@ class NdpTransport(Transport):
         if key not in self._pull_ring:
             self._pull_ring.append(key)
         self._ensure_pacer()
-
-    def _in_give_up(self, key: int) -> None:
-        if self.inbound.pop(key, None) is None:
-            return
-        self.inbound_gaveups += 1
-        self._pulls_issued.pop(key, None)
-        try:
-            self._pull_ring.remove(key)
-        except ValueError:
-            pass
 
     # ------------------------------------------------------------------
     # receiver pull pacing (fair share round robin)

@@ -36,7 +36,7 @@ from typing import Optional
 from repro.core.engine import Simulator
 from repro.core.packet import MAX_PAYLOAD, Packet, PacketType
 from repro.transport.base import RecoveryConfig, Transport
-from repro.transport.messages import InboundMessage, OutboundMessage
+from repro.transport.messages import OutboundMessage
 
 #: consecutive timeouts before a flow enters probe mode
 PROBE_AFTER = 5
@@ -78,13 +78,10 @@ class PfabricTransport(Transport):
         self.window = rtt_bytes              # one BDP in flight per flow
         self.rto_ps = 3 * rtt_ps             # pFabric uses a small RTO
         self.flows: dict[int, _PfabricFlow] = {}
-        self.inbound: dict[int, InboundMessage] = {}
         self._rtx_queue: deque[tuple[_PfabricFlow, int, int]] = deque()
         self._timer = None
         self.retransmissions = 0
         self.probes_sent = 0
-        # Receiver GC of partial inbound messages (None on clean fabrics).
-        self._in_watch = self._tracker(self._in_idle, self._in_give_up)
 
     # ------------------------------------------------------------------
     # sending
@@ -152,38 +149,23 @@ class PfabricTransport(Transport):
             self._on_probe(pkt)
 
     def _on_data(self, pkt: Packet) -> None:
-        key = pkt.msg_key
-        msg = self.inbound.get(key)
+        msg = self._inbound_for(pkt)
         if msg is None:
-            if self._in_watch is not None and self._recently_done(key):
-                self._note_done(key)  # refresh: the peer is still retrying
-                self._ack(pkt)        # late retransmission: re-ACK only
-                return
-            msg = InboundMessage(pkt.rpc_id, True, pkt.src, self.hid,
-                                 pkt.total_length, now_ps=self.sim.now)
-            msg.created_ps = pkt.created_ps
-            self.inbound[key] = msg
-            if self._in_watch is not None:
-                self._in_watch.watch(key)
-        added = msg.record(pkt.offset, pkt.payload, self.sim.now)
-        if pkt.retx and added:
-            self.rtx_recovered += 1
-        if self._in_watch is not None:
-            self._in_watch.touch(key)
+            return
+        self._record(msg, pkt)
         # ACKs carry fine priority 0: most urgent, never dropped first.
         self._ack(pkt)
         if msg.is_complete():
-            del self.inbound[key]
-            if self._in_watch is not None:
-                self._in_watch.forget(key)
-                self._note_done(key)
-            self._report_complete(msg)
+            self._complete(msg)
 
     def _ack(self, pkt: Packet) -> None:
         self.send_ctrl(Packet(
             self.hid, pkt.src, PacketType.ACK, prio=7, fine_prio=0,
             rpc_id=pkt.rpc_id, is_request=True,
             offset=pkt.offset, range_end=pkt.payload))
+
+    #: a late copy of a completed message is ACKed like any other
+    _reack = _ack
 
     def _on_probe(self, pkt: Packet) -> None:
         self.send_ctrl(Packet(
@@ -204,8 +186,12 @@ class PfabricTransport(Transport):
                 flow.msg.in_flight = max(0, flow.msg.in_flight - entry[0])
             flow.msg.acked.add(pkt.offset, pkt.offset + pkt.range_end)
             if flow.msg.acked.total >= flow.msg.length:
-                del self.flows[flow.msg.key]
+                self._retire(flow)
         self.kick()
+
+    def _retire(self, flow: _PfabricFlow) -> None:
+        """Fully acked or given up: drop the sender state."""
+        del self.flows[flow.msg.key]
 
     # ------------------------------------------------------------------
     # retransmission timer
@@ -217,25 +203,6 @@ class PfabricTransport(Transport):
         if self.flows:
             self._timer = self.sim.schedule(self.rto_ps // 2, self._check_timeouts)
 
-    def _recovery_round(self, flow: _PfabricFlow, now: int) -> bool:
-        """Charge one fruitless recovery round against ``flow``'s
-        give-up budget (injected-loss fabrics only).  Returns True when
-        the caller should act (backoff elapsed, budget left); retires
-        the flow on budget exhaustion."""
-        recov = self.recovery
-        if recov is None:
-            return True  # clean fabric: original unthrottled behaviour
-        bounded = min(flow.rec_rounds, recov.max_tries)
-        if now - flow.rec_last_ps < recov.interval_ps(bounded):
-            return False
-        flow.rec_rounds += 1
-        flow.rec_last_ps = now
-        if flow.rec_rounds > recov.max_tries:
-            del self.flows[flow.msg.key]
-            self.outbound_gaveups += 1
-            return False
-        return True
-
     def _check_timeouts(self) -> None:
         self._timer = None
         now = self.sim.now
@@ -246,7 +213,7 @@ class PfabricTransport(Transport):
                 # resend the first missing range.
                 if (not flow.probing and not flow.has_new_bytes()
                         and flow.msg.acked.total < flow.msg.length):
-                    if self._recovery_round(flow, now):
+                    if self._recovery_round(flow, self.recovery, now):
                         gap = flow.msg.acked.first_gap(flow.msg.length)
                         if gap is not None:
                             size = min(MAX_PAYLOAD, gap[1] - gap[0])
@@ -255,7 +222,7 @@ class PfabricTransport(Transport):
                 elif flow.probing and self.recovery is not None:
                     # Injected loss can destroy the PROBE or its ACK;
                     # without a re-probe the flow waits forever.
-                    if self._recovery_round(flow, now):
+                    if self._recovery_round(flow, self.recovery, now):
                         self.probes_sent += 1
                         self.send_ctrl(Packet(
                             self.hid, flow.msg.dst, PacketType.PROBE,
@@ -282,16 +249,3 @@ class PfabricTransport(Transport):
                 self._rtx_queue.append((flow, oldest_offset, size))
                 self.kick()
         self._ensure_timer()
-
-    # ------------------------------------------------------------------
-    # loss recovery (hooks only fire when a RecoveryConfig is present)
-    # ------------------------------------------------------------------
-
-    def _in_idle(self, key: int, tries: int) -> None:
-        """The receiver is passive in pFabric — the sender's RTO owns
-        retransmission — so expiries just burn down the GC budget."""
-
-    def _in_give_up(self, key: int) -> None:
-        """Sender went silent mid-message: GC the partial inbound."""
-        if self.inbound.pop(key, None) is not None:
-            self.inbound_gaveups += 1

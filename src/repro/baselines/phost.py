@@ -102,8 +102,7 @@ class PHostTransport(Transport):
         # Sender state.
         self.outbound: dict[int, OutboundMessage] = {}
         self.tokens: dict[int, _TokenBucket] = {}
-        # Receiver state.
-        self.inbound: dict[int, InboundMessage] = {}
+        # Receiver state (beside ``inbound``).
         self.tokens_issued: dict[int, int] = {}      # key -> bytes tokenized
         self.last_data_ps: dict[int, int] = {}       # key -> last data time
         self.token_grant_ps: dict[int, int] = {}     # key -> last token time
@@ -116,7 +115,6 @@ class PHostTransport(Transport):
         # messages linger until the receiver's completion ACK.
         self._lingering: dict[int, OutboundMessage] = {}
         self._out_watch = self._tracker(self._out_expire, self._out_give_up)
-        self._in_watch = self._tracker(self._in_expire, self._in_give_up)
 
     # ------------------------------------------------------------------
     # sending
@@ -204,56 +202,40 @@ class PHostTransport(Transport):
         elif pkt.kind == PacketType.ACK:
             self._on_done_ack(pkt)
 
-    def _register_inbound(self, pkt: Packet) -> InboundMessage:
-        key = pkt.msg_key
-        msg = self.inbound.get(key)
-        if msg is None:
-            msg = InboundMessage(pkt.rpc_id, True, pkt.src, self.hid,
-                                 pkt.total_length, now_ps=self.sim.now)
-            msg.created_ps = pkt.created_ps
-            self.inbound[key] = msg
-            self.tokens_issued[key] = min(pkt.total_length, self.unsched_limit)
-            self.last_data_ps[key] = self.sim.now
-            if self._in_watch is not None:
-                self._in_watch.watch(key)
-        return msg
+    def _registered(self, msg: InboundMessage) -> None:
+        self.tokens_issued[msg.key] = min(msg.length, self.unsched_limit)
+        self.last_data_ps[msg.key] = self.sim.now
+
+    def _forget_inbound(self, key: int) -> None:
+        self.tokens_issued.pop(key, None)
+        self.last_data_ps.pop(key, None)
+        self.token_grant_ps.pop(key, None)
+        self.blacklisted_until.pop(key, None)
 
     def _on_rts(self, pkt: Packet) -> None:
-        if (self._in_watch is not None and pkt.msg_key not in self.inbound
-                and self._recently_done(pkt.msg_key)):
-            # The completion ACK was lost and the sender re-announced.
-            self._note_done(pkt.msg_key)  # refresh: peer still retrying
-            self._send_done_ack(pkt.src, pkt.rpc_id, pkt.total_length)
-            return
-        self._register_inbound(pkt)
-        self._ensure_pacer()
+        # A re-announcement of a completed message means the completion
+        # ACK was lost: ``_inbound_for`` re-sends it.
+        if self._inbound_for(pkt) is not None:
+            self._ensure_pacer()
 
     def _on_data(self, pkt: Packet) -> None:
-        if (self._in_watch is not None and pkt.msg_key not in self.inbound
-                and self._recently_done(pkt.msg_key)):
-            self._note_done(pkt.msg_key)  # refresh: peer still retrying
-            self._send_done_ack(pkt.src, pkt.rpc_id, pkt.total_length)
+        msg = self._inbound_for(pkt)
+        if msg is None:
             return
-        msg = self._register_inbound(pkt)
         self.last_data_ps[msg.key] = self.sim.now
         self.blacklisted_until.pop(msg.key, None)
-        added = msg.record(pkt.offset, pkt.payload, self.sim.now)
-        if pkt.retx and added:
-            self.rtx_recovered += 1
-        if self._in_watch is not None:
-            self._in_watch.touch(msg.key)
+        self._record(msg, pkt)
         if msg.is_complete():
-            key = msg.key
-            del self.inbound[key]
-            self.tokens_issued.pop(key, None)
-            self.last_data_ps.pop(key, None)
-            self.token_grant_ps.pop(key, None)
-            if self._in_watch is not None:
-                self._in_watch.forget(key)
-                self._note_done(key)
-                self._send_done_ack(msg.src, msg.rpc_id, msg.length)
-            self._report_complete(msg)
+            self._complete(msg)
         self._ensure_pacer()
+
+    def _report_complete(self, message: InboundMessage) -> None:
+        if self._in_watch is not None:
+            self._send_done_ack(message.src, message.rpc_id, message.length)
+        super()._report_complete(message)
+
+    def _reack(self, pkt: Packet) -> None:
+        self._send_done_ack(pkt.src, pkt.rpc_id, pkt.total_length)
 
     def _send_done_ack(self, dst: int, rpc_id: int, length: int) -> None:
         """Completion ACK (recovery only): releases the sender's
@@ -418,12 +400,3 @@ class PHostTransport(Transport):
                 off += size
             if count >= 8:
                 break
-
-    def _in_give_up(self, key: int) -> None:
-        if self.inbound.pop(key, None) is None:
-            return
-        self.inbound_gaveups += 1
-        self.tokens_issued.pop(key, None)
-        self.last_data_ps.pop(key, None)
-        self.token_grant_ps.pop(key, None)
-        self.blacklisted_until.pop(key, None)

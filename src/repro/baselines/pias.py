@@ -38,7 +38,7 @@ from typing import Optional
 from repro.core.engine import Simulator
 from repro.core.packet import MAX_PAYLOAD, N_PRIORITIES, Packet, PacketType
 from repro.transport.base import RecoveryConfig, Transport
-from repro.transport.messages import InboundMessage, OutboundMessage
+from repro.transport.messages import OutboundMessage
 from repro.transport.rotation import ReadyRing
 from repro.workloads.distributions import EmpiricalCDF
 
@@ -67,7 +67,7 @@ class _PiasFlow:
     __slots__ = ("msg", "cwnd", "ssthresh", "alpha", "acked_prefix",
                  "window_sent", "window_marked", "window_end",
                  "dup_acks", "last_send_ps", "recovery_until",
-                 "rec_rounds", "next_rto_ps", "high_water", "ring_pos")
+                 "rec_rounds", "rec_last_ps", "high_water", "ring_pos")
 
     def __init__(self, msg: OutboundMessage) -> None:
         self.msg = msg
@@ -82,7 +82,7 @@ class _PiasFlow:
         self.last_send_ps = 0
         self.recovery_until = 0
         self.rec_rounds = 0   # consecutive fruitless RTOs (recovery only)
-        self.next_rto_ps = 0  # backoff gate for the next RTO action
+        self.rec_last_ps = 0  # last RTO action (backoff anchor)
         self.high_water = 0   # highest byte ever sent (marks go-back-N retx)
 
     def can_send(self) -> bool:
@@ -111,13 +111,16 @@ class PiasTransport(Transport):
         # NIC round-robin over the live flows, marked where they can become
         # sendable: creation, an ACK moving acked_prefix/cwnd, go-back-N.
         self._rr = ReadyRing()
-        self.inbound: dict[int, InboundMessage] = {}
         self._timer = None
         self.retransmissions = 0
         self.backoffs = 0
-        # Receiver GC of partial inbound messages (None on clean fabrics).
-        self._in_watch = self._tracker(self._in_idle, self._in_give_up)
+        # The RTO's retry budget: the fabric's backoff and budget on the
+        # RTO scale (capped at 4*rto); None on clean fabrics.
+        self._rto_policy = None
         if recovery is not None:
+            self._rto_policy = RecoveryConfig(
+                self.rto_ps, factor=recovery.factor,
+                max_tries=recovery.max_tries)
             # Done-memory must outlive the sender's retry *spacing*,
             # which here is RTO-scaled (backoff gate <= 4*rto plus the
             # rto-granular check timer), not recovery-scaled: the RTO
@@ -200,43 +203,25 @@ class PiasTransport(Transport):
             self._on_ack(pkt)
 
     def _on_data(self, pkt: Packet) -> None:
-        key = pkt.msg_key
-        msg = self.inbound.get(key)
+        msg = self._inbound_for(pkt)
         if msg is None:
-            if self._in_watch is not None and self._recently_done(key):
-                # Late go-back-N of a completed message (the final ACK
-                # was lost): re-ACK the full length, never re-register —
-                # a fresh partial inbound here is a duplicate delivery.
-                self._note_done(key)  # refresh: the peer is still retrying
-                ack = Packet(self.hid, pkt.src, PacketType.ACK, prio=7,
-                             rpc_id=pkt.rpc_id, is_request=True,
-                             offset=pkt.total_length)
-                ack.ecn = pkt.ecn
-                self.send_ctrl(ack)
-                return
-            msg = InboundMessage(pkt.rpc_id, True, pkt.src, self.hid,
-                                 pkt.total_length, now_ps=self.sim.now)
-            msg.created_ps = pkt.created_ps
-            self.inbound[key] = msg
-            if self._in_watch is not None:
-                self._in_watch.watch(key)
-        added = msg.record(pkt.offset, pkt.payload, self.sim.now)
-        if pkt.retx and added:
-            self.rtx_recovered += 1
-        if self._in_watch is not None:
-            self._in_watch.touch(key)
+            return
+        self._record(msg, pkt)
         # Cumulative ACK echoing the ECN mark (DCTCP's feedback loop).
+        self._ack(pkt, msg.received.contiguous_prefix())
+        if msg.is_complete():
+            self._complete(msg)
+
+    def _ack(self, pkt: Packet, prefix: int) -> None:
         ack = Packet(self.hid, pkt.src, PacketType.ACK, prio=7,
-                     rpc_id=pkt.rpc_id, is_request=True,
-                     offset=msg.received.contiguous_prefix())
+                     rpc_id=pkt.rpc_id, is_request=True, offset=prefix)
         ack.ecn = pkt.ecn
         self.send_ctrl(ack)
-        if msg.is_complete():
-            del self.inbound[key]
-            if self._in_watch is not None:
-                self._in_watch.forget(key)
-                self._note_done(key)
-            self._report_complete(msg)
+
+    def _reack(self, pkt: Packet) -> None:
+        """Late go-back-N of a completed message (the final ACK was
+        lost): ACK the full length."""
+        self._ack(pkt, pkt.total_length)
 
     def _on_ack(self, pkt: Packet) -> None:
         flow = self.flows.get(pkt.msg_key)
@@ -263,7 +248,6 @@ class PiasTransport(Transport):
             flow.acked_prefix = pkt.offset
             flow.dup_acks = 0
             flow.rec_rounds = 0  # forward progress proves the peer lives
-            flow.next_rto_ps = 0
             if flow.cwnd < flow.ssthresh:
                 flow.cwnd += delta  # slow start
             else:
@@ -297,35 +281,12 @@ class PiasTransport(Transport):
         for flow in list(self.flows.values()):
             in_flight = flow.msg.sent - flow.acked_prefix
             if in_flight > 0 and now - flow.last_send_ps >= self.rto_ps:
-                if self.recovery is not None:
-                    # Injected loss: back off across fruitless RTO
-                    # rounds and retire the flow once the budget is
-                    # spent — a bare RTO retransmits to a dead peer
-                    # forever.
-                    if now < flow.next_rto_ps:
-                        continue
-                    flow.rec_rounds += 1
-                    if flow.rec_rounds > self.recovery.max_tries:
-                        self._retire(flow)
-                        self.outbound_gaveups += 1
-                        continue
-                    backoff = self.rto_ps * (
-                        self.recovery.factor ** flow.rec_rounds)
-                    flow.next_rto_ps = now + min(backoff, 4 * self.rto_ps)
+                # Injected loss: back off across fruitless RTO rounds
+                # and retire the flow once the budget is spent — a bare
+                # RTO retransmits to a dead peer forever.
+                if not self._recovery_round(flow, self._rto_policy, now):
+                    continue
                 flow.ssthresh = max(MAX_PAYLOAD, flow.cwnd / 2)
                 flow.cwnd = float(MAX_PAYLOAD)
                 self._retransmit_from(flow, flow.acked_prefix)
         self._ensure_timer()
-
-    # ------------------------------------------------------------------
-    # loss recovery (hooks only fire when a RecoveryConfig is present)
-    # ------------------------------------------------------------------
-
-    def _in_idle(self, key: int, tries: int) -> None:
-        """The receiver is passive in PIAS — the sender's RTO owns
-        retransmission — so expiries just burn down the GC budget."""
-
-    def _in_give_up(self, key: int) -> None:
-        """Sender went silent mid-message: GC the partial inbound."""
-        if self.inbound.pop(key, None) is not None:
-            self.inbound_gaveups += 1

@@ -75,7 +75,6 @@ class StreamTransport(Transport):
         # NIC service RR; a connection is marked wherever it can become
         # sendable (a message joins its queue, ``in_flight`` falls).
         self._ring = ReadyRing()
-        self.inbound: dict[int, InboundMessage] = {}
         # RPC support (for the echo benchmarks).
         self.rpc_handler = None
         self._client_cbs: dict[int, tuple] = {}
@@ -83,7 +82,6 @@ class StreamTransport(Transport):
         self._sent_msgs: dict[int, OutboundMessage] = {}
         self._msg_conn: dict[int, _Connection] = {}
         self._out_watch = self._tracker(self._rtx_expire, self._rtx_give_up)
-        self._in_watch = self._tracker(self._in_idle, self._in_give_up)
 
     # ------------------------------------------------------------------
     # sending
@@ -157,37 +155,15 @@ class StreamTransport(Transport):
             self._on_ack(pkt)
 
     def _on_data(self, pkt: Packet) -> None:
-        key = pkt.msg_key
-        msg = self.inbound.get(key)
+        msg = self._inbound_for(pkt)
         if msg is None:
-            if self._in_watch is not None and self._recently_done(key):
-                # Late retransmission of a completed message: re-ACK so
-                # the sender stops retrying, but do not re-register.
-                self._note_done(key)  # refresh: the peer is still retrying
-                self._ack(pkt)
-                return
-            msg = InboundMessage(pkt.rpc_id, pkt.is_request, pkt.src,
-                                 self.hid, pkt.total_length,
-                                 now_ps=self.sim.now)
-            msg.created_ps = pkt.created_ps
-            msg.app_meta = pkt.app_meta
-            self.inbound[key] = msg
-            if self._in_watch is not None:
-                self._in_watch.watch(key)
-        added = msg.record(pkt.offset, pkt.payload, self.sim.now)
-        if pkt.retx and added:
-            self.rtx_recovered += 1
-        if self._in_watch is not None:
-            self._in_watch.touch(key)
+            return
+        self._record(msg, pkt)
         # Per-packet ACK releases window on the sending side; the ACK
         # carries the connection index so the sender credits correctly.
         self._ack(pkt)
         if msg.is_complete():
-            del self.inbound[key]
-            if self._in_watch is not None:
-                self._in_watch.forget(key)
-                self._note_done(key)
-            self._stream_complete(msg)
+            self._complete(msg)
 
     def _ack(self, pkt: Packet) -> None:
         self.send_ctrl(Packet(
@@ -196,8 +172,11 @@ class StreamTransport(Transport):
             offset=pkt.offset, payload=0, range_end=pkt.payload,
             grant_offset=pkt.grant_offset))
 
-    def _stream_complete(self, msg: InboundMessage) -> None:
-        self._report_complete(msg)
+    #: a late copy of a completed message is ACKed like any other
+    _reack = _ack
+
+    def _report_complete(self, msg: InboundMessage) -> None:
+        super()._report_complete(msg)
         if msg.is_request:
             if self.rpc_handler is not None:
                 self.rpc_handler(self, msg)
@@ -287,12 +266,3 @@ class StreamTransport(Transport):
             if cbs is not None and cbs[1] is not None:
                 cbs[1](msg.rpc_id)
         self.kick()
-
-    def _in_idle(self, key: int, tries: int) -> None:
-        """Receiver side is passive: the sender owns retransmission, so
-        expiries just burn down the give-up budget."""
-
-    def _in_give_up(self, key: int) -> None:
-        """Sender went silent mid-message: GC the partial inbound."""
-        if self.inbound.pop(key, None) is not None:
-            self.inbound_gaveups += 1

@@ -15,6 +15,10 @@ direction.  The tracker owns timer arming; the protocol supplies only
 the two hooks (*expire* = retransmit / re-request, *give up* = retire
 the message and count it).  Give-ups and retransmissions flow through
 the shared counters below into ``metrics/control.py`` ControlTraffic.
+The baselines also share one receiver (``_inbound_for`` / ``_record``
+/ ``_complete`` / ``_in_give_up``) and one sender retry-budget gate
+(``_recovery_round``); each keeps only its ACK format and its own
+per-message state.
 On clean fabrics the registry passes ``recovery=None`` and none of
 this machinery schedules a single event, keeping the clean-fabric
 slowdown digests byte-identical (default-off stays default-off).
@@ -169,6 +173,10 @@ class Transport:
         # Insertion-ordered by expiry, purged from the front on insert.
         self._done_memory: dict[int, int] = {}
         self._done_horizon_ps = recovery.horizon_ps if recovery else 0
+        #: receiver state: message key -> partially received message
+        self.inbound: dict[int, InboundMessage] = {}
+        # Receiver GC of partial inbound messages (None on clean fabrics).
+        self._in_watch = self._tracker(self._in_expire, self._in_give_up)
 
     # ------------------------------------------------------------------
     # host binding
@@ -233,6 +241,70 @@ class Transport:
             self.on_message_complete(message, self.sim.now)
 
     # ------------------------------------------------------------------
+    # the baselines' shared receiver: register, record, complete, GC
+    # ------------------------------------------------------------------
+
+    def _inbound_for(self, pkt: Packet) -> Optional[InboundMessage]:
+        """The inbound message ``pkt`` belongs to, registered on first
+        sight; None for a late copy of a recently completed message,
+        which is re-acknowledged (``self._reack(pkt)``, supplied by each
+        protocol that calls this) and never re-registered — a fresh
+        partial inbound there is a duplicate delivery waiting to
+        complete."""
+        key = pkt.msg_key
+        msg = self.inbound.get(key)
+        if msg is not None:
+            return msg
+        if self._in_watch is not None and self._recently_done(key):
+            self._note_done(key)  # refresh: the peer is still retrying
+            self._reack(pkt)
+            return None
+        msg = InboundMessage(pkt.rpc_id, pkt.is_request, pkt.src, self.hid,
+                             pkt.total_length, now_ps=self.sim.now)
+        msg.created_ps = pkt.created_ps
+        msg.app_meta = pkt.app_meta
+        self.inbound[key] = msg
+        self._registered(msg)
+        if self._in_watch is not None:
+            self._in_watch.watch(key)
+        return msg
+
+    def _record(self, msg: InboundMessage, pkt: Packet) -> None:
+        """Record ``pkt``'s bytes; a retransmission that filled a gap
+        counts as recovered, and any arrival is progress."""
+        if msg.record(pkt.offset, pkt.payload, self.sim.now) and pkt.retx:
+            self.rtx_recovered += 1
+        if self._in_watch is not None:
+            self._in_watch.touch(msg.key)
+
+    def _complete(self, msg: InboundMessage) -> None:
+        """Retire a fully received message, remember it for late
+        retransmissions, and report it."""
+        key = msg.key
+        del self.inbound[key]
+        self._forget_inbound(key)
+        if self._in_watch is not None:
+            self._in_watch.forget(key)
+            self._note_done(key)
+        self._report_complete(msg)
+
+    def _registered(self, msg: InboundMessage) -> None:
+        """Hook: per-message receiver state for a new inbound message."""
+
+    def _forget_inbound(self, key: int) -> None:
+        """Hook: drop that state again (completion or give-up)."""
+
+    def _in_expire(self, key: int, tries: int) -> None:
+        """A passive receiver — the sender's timer owns retransmission —
+        lets expiries just burn down the GC budget."""
+
+    def _in_give_up(self, key: int) -> None:
+        """Sender went silent mid-message: GC the partial inbound."""
+        if self.inbound.pop(key, None) is not None:
+            self.inbound_gaveups += 1
+            self._forget_inbound(key)
+
+    # ------------------------------------------------------------------
     # shared loss-recovery helpers (active only with a RecoveryConfig)
     # ------------------------------------------------------------------
 
@@ -243,6 +315,27 @@ class Transport:
             return None
         return RecoveryTracker(self.sim, self.recovery,
                                on_expire=on_expire, on_give_up=on_give_up)
+
+    def _recovery_round(self, flow, policy: RecoveryConfig | None,
+                        now: int) -> bool:
+        """Charge one fruitless recovery round against ``flow``'s
+        give-up budget under ``policy`` (the flow carries ``rec_rounds``
+        and its backoff anchor ``rec_last_ps``).  Returns True when the
+        caller should act: always with no policy (clean fabric), else
+        once the backoff has elapsed with budget left.  On exhaustion the
+        flow is retired through the sender's ``_retire(flow)``."""
+        if policy is None:
+            return True
+        bounded = min(flow.rec_rounds, policy.max_tries)
+        if now - flow.rec_last_ps < policy.interval_ps(bounded):
+            return False
+        flow.rec_rounds += 1
+        flow.rec_last_ps = now
+        if flow.rec_rounds > policy.max_tries:
+            self._retire(flow)
+            self.outbound_gaveups += 1
+            return False
+        return True
 
     def _note_done(self, key: int) -> None:
         """Remember (or refresh) a completed inbound message for the
