@@ -10,6 +10,15 @@ Poisson message arrival rate per host.
 
 Estimates are Monte-Carlo over the size distribution (deterministic
 seed), because per-packet framing is a step function of message size.
+The draw is streamed: ``CHUNK_SAMPLES`` sizes at a time from one PCG64
+stream, so the working set is a few chunk-sized arrays however many
+samples are asked for.  Every per-sample quantity (bytes, data-wire
+bytes, packets, scheduled packets) is a whole number far below 2**53,
+so the chunks' sums are exact integers and each mean is the same float
+a single full-length array would give.  Each estimate is memoized per
+process, keyed by the CDF's anchors and unit, the unscheduled limit,
+the sample count and the seed, so a process that runs many simulations
+(a campaign, a farm worker, the benchmark) draws each estimate once.
 """
 
 from __future__ import annotations
@@ -33,6 +42,9 @@ _PKT_OVERHEAD = HEADER_BYTES + ETH_OVERHEAD
 #: protocols with a control-packet cost model
 PROTOCOLS = ("homa", "basic", "pfabric", "phost", "pias", "ndp", "stream")
 
+#: sizes drawn per step of the Monte-Carlo estimate (bounds its memory)
+CHUNK_SAMPLES = 8192
+
 
 @dataclass(frozen=True)
 class TrafficEstimate:
@@ -44,6 +56,10 @@ class TrafficEstimate:
     mean_sched_packets: float  # packets beyond the unscheduled limit
 
 
+#: per-process memo of ``estimate_traffic`` results
+_ESTIMATES: dict[tuple, TrafficEstimate] = {}
+
+
 def estimate_traffic(
     cdf: EmpiricalCDF,
     unsched_limit: int,
@@ -51,21 +67,34 @@ def estimate_traffic(
     samples: int = 200_000,
     seed: int = 20180821,  # SIGCOMM'18 presentation date: fixed, arbitrary
 ) -> TrafficEstimate:
-    """Monte-Carlo estimate of per-message traffic quantities."""
+    """Monte-Carlo estimate of per-message traffic quantities (memoized)."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    key = (cdf._qs.tobytes(), cdf._sizes.tobytes(), cdf.unit_bytes,
+           unsched_limit, samples, seed)
+    estimate = _ESTIMATES.get(key)
+    if estimate is not None:
+        return estimate
     rng = np.random.default_rng(seed)
-    sizes = cdf.sample(rng, samples).astype(np.float64)
-    packets = np.ceil(sizes / MAX_PAYLOAD)
-    tail = sizes - (packets - 1) * MAX_PAYLOAD
-    tail_wire = np.maximum(MIN_WIRE, tail + _PKT_OVERHEAD)
-    data_wire = (packets - 1) * (MAX_PAYLOAD + _PKT_OVERHEAD) + tail_wire
-    sched_bytes = np.maximum(0.0, sizes - unsched_limit)
-    sched_packets = np.ceil(sched_bytes / MAX_PAYLOAD)
-    return TrafficEstimate(
-        mean_bytes=float(sizes.mean()),
-        mean_data_wire=float(data_wire.mean()),
-        mean_packets=float(packets.mean()),
-        mean_sched_packets=float(sched_packets.mean()),
+    total_bytes = total_wire = total_packets = total_sched = 0
+    for start in range(0, samples, CHUNK_SAMPLES):
+        sizes = cdf.sample(rng, min(CHUNK_SAMPLES, samples - start))
+        packets = -(-sizes // MAX_PAYLOAD)
+        tail = sizes - (packets - 1) * MAX_PAYLOAD
+        data_wire = ((packets - 1) * (MAX_PAYLOAD + _PKT_OVERHEAD)
+                     + np.maximum(MIN_WIRE, tail + _PKT_OVERHEAD))
+        sched_packets = -(-np.maximum(0, sizes - unsched_limit) // MAX_PAYLOAD)
+        total_bytes += int(sizes.sum())
+        total_wire += int(data_wire.sum())
+        total_packets += int(packets.sum())
+        total_sched += int(sched_packets.sum())
+    estimate = _ESTIMATES[key] = TrafficEstimate(
+        mean_bytes=total_bytes / samples,
+        mean_data_wire=total_wire / samples,
+        mean_packets=total_packets / samples,
+        mean_sched_packets=total_sched / samples,
     )
+    return estimate
 
 
 def per_message_wire_bytes(protocol: str, traffic: TrafficEstimate) -> float:
