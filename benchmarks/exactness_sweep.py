@@ -1,10 +1,16 @@
-"""Exactness sweep: one source tree over the 180-cell recovery grid.
+"""Exactness sweep: one source tree over two grids of cells.
 
-The six baseline protocols x seeds 1-15 x per-tier loss 0.01 / 0.05,
-W3 at load 0.5 on the 16-host lossy, faulted 3-level fabric of
-``tests/test_recovery.py::lossy_3level_spec``.  Each cell writes one
-JSON line: its slowdown digest, ``submitted``, ``completed``, and the
-``control`` and ``fabric`` counters.
+* The 180-cell recovery grid: the six baseline protocols x seeds 1-15
+  x per-tier loss 0.01 / 0.05, W3 at load 0.5 on the 16-host lossy,
+  faulted 3-level fabric of ``tests/test_recovery.py::lossy_3level_spec``.
+* The 54-cell Homa grant grid: W1 / W4 / W5 at load 0.9 on a clean
+  4-host rack x overcommitment degree 1-3 x the three GRANT emitters
+  (per-packet, timer, every 10 packets) x ``grant_oldest`` off / on.
+  At degree 1-2 more messages are grantable than the degree, so the
+  receiver's top-K ranking and the ``grant_oldest`` slot both run.
+
+Each cell writes one JSON line: its slowdown digest, ``submitted``,
+``completed``, and the ``control`` and ``fabric`` counters.
 
 A refactor that claims to be exact runs this once per tree and diffs
 the two files; every line must be identical::
@@ -28,6 +34,15 @@ PROTOCOLS = ("pfabric", "phost", "pias", "ndp", "stream", "stream_mc")
 LOSSES = (0.01, 0.05)
 SEEDS = range(1, 16)
 
+#: Homa grid: workload -> (duration_ms, seed), sized so each cell runs
+#: in well under a second and W4 / W5 reach the above-degree ranking.
+HOMA_WORKLOADS = {"W1": (0.1, 7), "W4": (1.5, 7), "W5": (4.0, 1)}
+HOMA_DEGREES = (1, 2, 3)
+#: the three GRANT emitters, as ``HomaConfig`` overrides
+HOMA_EMITTERS = {"packet": {"grant_batch_ns": 0},
+                 "timer": {},
+                 "count": {"grant_batch_ns": 0, "grant_batch_pkts": 10}}
+
 
 def lossy_3level_spec(loss: float, window_ms: float = 0.4):
     """``lossy_3level_spec`` of tests/test_recovery.py with ``loss`` at
@@ -45,33 +60,55 @@ def lossy_3level_spec(loss: float, window_ms: float = 0.4):
                 FaultEvent(0.80 * window_ms, "link", "up", "tor0:aggr0.1")))
 
 
-def sweep(out) -> int:
-    from repro.experiments.campaign import slowdown_digest
-    from repro.experiments.runner import ExperimentConfig, run_experiment
+def grid():
+    """Yield ``(label, ExperimentConfig)`` for every cell of both grids."""
+    from repro.experiments.runner import ExperimentConfig
+    from repro.homa.config import HomaConfig
 
-    cells = 0
     for protocol in PROTOCOLS:
         for loss in LOSSES:
             for seed in SEEDS:
-                result = run_experiment(ExperimentConfig(
+                yield [protocol, loss, seed], ExperimentConfig(
                     protocol=protocol, workload="W3", load=0.5,
                     duration_ms=0.3, warmup_ms=0.1, drain_ms=20.0,
-                    seed=seed, fabric=lossy_3level_spec(loss)))
-                row = {"cell": [protocol, loss, seed],
-                       "digest": slowdown_digest({protocol: result}),
-                       "submitted": result.submitted,
-                       "completed": result.completed,
-                       "control": result.control.to_payload(),
-                       "fabric": result.fabric.to_payload()}
-                out.write(json.dumps(row, sort_keys=True) + "\n")
-                out.flush()
-                cells += 1
-    return cells
+                    seed=seed, fabric=lossy_3level_spec(loss))
+    for workload, (duration_ms, seed) in HOMA_WORKLOADS.items():
+        for degree in HOMA_DEGREES:
+            for emitter, overrides in HOMA_EMITTERS.items():
+                for oldest in (False, True):
+                    yield ["homa", workload, degree, emitter, oldest], \
+                        ExperimentConfig(
+                            protocol="homa", workload=workload, load=0.9,
+                            racks=1, hosts_per_rack=4, aggrs=0,
+                            duration_ms=duration_ms, warmup_ms=0.0,
+                            drain_ms=10.0, seed=seed,
+                            homa=HomaConfig(overcommit_override=degree,
+                                            grant_oldest=oldest,
+                                            **overrides))
+
+
+def sweep(out) -> int:
+    from repro.experiments.campaign import slowdown_digest
+    from repro.experiments.runner import run_experiment
+
+    count = 0
+    for label, cfg in grid():
+        result = run_experiment(cfg)
+        row = {"cell": label,
+               "digest": slowdown_digest({cfg.protocol: result}),
+               "submitted": result.submitted,
+               "completed": result.completed,
+               "control": result.control.to_payload(),
+               "fabric": result.fabric.to_payload()}
+        out.write(json.dumps(row, sort_keys=True) + "\n")
+        out.flush()
+        count += 1
+    return count
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Run the 180-cell recovery grid on one source tree.")
+        description="Run the recovery and Homa grids on one source tree.")
     parser.add_argument("--src", required=True,
                         help="the tree's src directory (imported first)")
     parser.add_argument("--out", required=True,

@@ -77,12 +77,10 @@ HOT_FUNCTIONS: dict[str, frozenset[str]] = {
     "src/repro/homa/transport.py": frozenset(
         {
             "HomaTransport.next_packet",
-            "HomaTransport._next_data",
             "HomaTransport._make_data_packet",
             "HomaTransport._on_data",
             "HomaTransport._schedule_grants",
             "HomaTransport._grant_packet",
-            "HomaTransport._emit_changed_grant",
             "HomaTransport._grant_tick",
             "HomaTransport._on_grant",
         }

@@ -10,11 +10,13 @@ One ``HomaTransport`` instance runs on each host and plays both roles:
   simultaneously (controlled overcommitment, K = number of scheduled
   priority levels); assigns a distinct scheduled priority per active
   message, lowest levels first to avoid preemption lag (Figure 5).
-  GRANT emission is paced by ``HomaConfig.grant_batch_ns``: per
-  arriving data packet in legacy mode (0, the paper's simulator), or
-  coalesced by a per-receiver batch timer that runs the ranking pass
-  once per interval and emits at most one GRANT per active message
-  (nonzero, as real implementations do — arXiv:1803.09615 section 4).
+  One ranking pass picks the active set and emits at most one GRANT
+  per active message.  The three emitters differ only in *when* it
+  runs: per arriving data packet (``grant_batch_ns=0``, the paper's
+  simulator), once per interval of a per-receiver batch timer
+  (``grant_batch_ns`` nonzero, as real implementations do —
+  arXiv:1803.09615 section 4), or once per ``grant_batch_pkts`` data
+  arrivals (the Linux kernel's approach).
 * **RPC layer** (3.1, 3.6-3.8): connectionless at-least-once RPCs; the
   response acknowledges the request; servers discard all RPC state once
   the last response byte is handed to the NIC; incast control marks
@@ -24,7 +26,7 @@ One ``HomaTransport`` instance runs on each host and plays both roles:
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush, heapreplace
+from heapq import heappop, heappush, heapreplace, nsmallest
 from typing import Callable, Optional
 
 from repro.core.engine import CoalescingTimer, Simulator
@@ -77,14 +79,26 @@ class ServerRpc:
         self.app_meta = app_meta
 
 
+# Ranking keys (module-level: no per-call closure allocation in the
+# hot ranking pass).  ``sort_seq`` makes each a total order.
+def _srpt_key(m) -> tuple:
+    """Top-K selection: fewest remaining bytes, then oldest first
+    arrival, then insertion order."""
+    return (m.length - m.received.total, m.first_arrival_ps, m.sort_seq)
+
+
+def _arrival_key(m) -> tuple:
+    """``grant_oldest``: oldest first arrival, then insertion order."""
+    return (m.first_arrival_ps, m.sort_seq)
+
+
 def _rank_key(m) -> tuple:
-    """Grant-ranking sort key: most remaining bytes first, then oldest
-    first arrival, then insertion order (module-level: no per-call
-    closure allocation in the hot ranking pass)."""
+    """Priority order within the active set: most remaining bytes
+    first, then oldest first arrival, then insertion order."""
     return (-m.bytes_remaining, -m.first_arrival_ps, m.sort_seq)
 
 
-class HomaTransport(Transport):
+class HomaTransport(Transport):  # simlint: ok(registry-hooks) — next_packet is overridden, so Transport._next_data is never called
     """Full Homa protocol implementation."""
 
     protocol_name = "homa"
@@ -125,39 +139,26 @@ class HomaTransport(Transport):
         else:
             batch_slack = 0
         self.grant_window = self.rtt_bytes + batch_slack
-        self.outbound: dict[int, OutboundMessage] = {}
-        self.inbound: dict[int, InboundMessage] = {}
         self.client_rpcs: dict[int, ClientRpc] = {}
         self.server_rpcs: dict[int, ServerRpc] = {}
-        # Incremental SRPT indexes (all lazy-deletion heaps; see
-        # docs/PERFORMANCE.md for the staleness invariants).
-        #
-        # Sender: every sendable outbound message has a live entry
+        # Sender SRPT index, a lazy-deletion heap (see
+        # docs/PERFORMANCE.md for the staleness invariant): every
+        # sendable outbound message has a live entry
         # [remaining, created_ps, sort_seq, msg]; an entry is stale when
         # the message left ``outbound``, stopped being sendable, or its
         # remaining-bytes key changed (a fresh entry is pushed whenever
         # any of those change back).
         self._send_heap: list[list] = []
-        # Receiver: ``_grantable`` holds exactly the inbound messages
-        # with granted < length; ``_grant_heap`` entries are
-        # [bytes_remaining, first_arrival_ps, sort_seq, msg] refreshed on
-        # every data arrival; ``_arrival_heap`` serves the grant_oldest
-        # ablation ([first_arrival_ps, sort_seq, msg], one per message).
+        # Receiver: exactly the inbound messages still holding or
+        # awaiting an overcommitment slot (granted < length under
+        # per-packet pacing); the ranking pass reads it directly.
         self._grantable: dict[int, InboundMessage] = {}
-        self._grant_heap: list[list] = []
-        # The grant heap only ranks messages when more are grantable
-        # than the overcommitment degree.  In the common case (active
-        # set fits the degree) it stays quiescent — no per-data-packet
-        # refresh pushes — and is rebuilt from live state on the
-        # transition above the degree.  False = quiescent.
-        self._heap_live = False
-        self._arrival_heap: list[list] = []
         # Tie-break counter reproducing the dict-insertion order the
         # pre-index linear scans used to resolve equal SRPT keys.
         self._sort_seq = 0
-        # Set when the grantable membership or the allocation changed;
-        # forces the next _schedule_grants through the full ranking pass
-        # (the single-message fast path is only sound in steady state).
+        # Set when the grantable membership or the allocation changed:
+        # count-based coalescing ranks at once instead of waiting for
+        # its Nth arrival.
         self._grant_dirty = True
         # Grant pacer: with grant_batch_ns nonzero, data arrivals only
         # arm this timer and the ranking pass runs once per tick,
@@ -188,7 +189,7 @@ class HomaTransport(Transport):
         self.estimator = OnlineEstimator() if cfg.online_priorities else None
         self._next_refresh_ps = 0
         self.peer_alloc: dict[int, PriorityAllocation] = {}
-        # Counters.
+        # Counters (the loss-recovery ones come from Transport).
         self.grants_sent = 0
         self.grant_ticks = 0
         self.resends_sent = 0
@@ -196,10 +197,6 @@ class HomaTransport(Transport):
         self.rpcs_aborted = 0
         self.rpcs_completed = 0
         self.reexecutions = 0
-        # Loss-recovery accounting (lossy fabrics, core/faults.py).
-        self.rtx_data_sent = 0      # retransmitted DATA packets
-        self.rtx_recovered = 0      # retransmitted DATA that filled a gap
-        self.inbound_gaveups = 0    # inbound messages dropped at max_resends
         # Peer-liveness GC (degraded fabrics only; docs/FABRICS.md):
         # retires outbound messages stalled waiting on grants from a
         # peer that stopped answering — dead-peer response orphans and
@@ -310,11 +307,6 @@ class HomaTransport(Transport):
             heappush(self._send_heap,
                      [msg.remaining, msg.created_ps, msg.sort_seq, msg])
 
-    def _next_data(self) -> Optional[Packet]:
-        # The SRPT pull lives inlined in next_packet (the NIC entry
-        # point); with nothing queued in ctrl they are the same pull.
-        return self.next_packet() if not self.ctrl else None
-
     def _make_data_packet(self, msg: OutboundMessage, offset: int, size: int,
                           is_rtx: bool) -> Packet:
         if is_rtx:
@@ -386,9 +378,6 @@ class HomaTransport(Transport):
             self.inbound[key] = msg
             self._grantable[key] = msg
             self._grant_dirty = True
-            if self.cfg.grant_oldest:
-                heappush(self._arrival_heap,
-                         [msg.first_arrival_ps, msg.sort_seq, msg])
             if self.estimator is not None:
                 self.estimator.record(pkt.total_length)
             if not pkt.is_request:
@@ -412,17 +401,6 @@ class HomaTransport(Transport):
             if self._grantable.pop(key, None):
                 self._grant_dirty = True
             self._inbound_finished(msg)
-        elif self._heap_live and key in self._grantable:
-            # Refresh this message's SRPT key (only it changed).  With
-            # the heap quiescent (active set fits the overcommitment
-            # degree) there is nothing to refresh: the ranking pass
-            # reads the live set directly.
-            heap = self._grant_heap
-            heappush(heap,
-                     [msg.length - msg.received.total,
-                      msg.first_arrival_ps, msg.sort_seq, msg])
-            if len(heap) > 128 and len(heap) > 4 * len(self._grantable):
-                self._prune_grant_heap()
         pacer = self._grant_timer
         if pacer is None:
             n = self._grant_batch_pkts
@@ -439,12 +417,12 @@ class HomaTransport(Transport):
                     self.grant_ticks += 1
                     self._schedule_grants()
             else:
-                self._schedule_grants(msg)
+                self._schedule_grants()  # per-packet: the paper's model
         elif self._grantable:
             # Batched mode: mark grant-dirty work by arming the pacer —
             # covers both "this message can take a further grant" and
             # "a completion/full-grant freed an overcommitment slot"
-            # (the tick's full ranking pass handles either).  An empty
+            # (the tick's ranking pass handles either).  An empty
             # grantable set has no grants to extend, so the receiver
             # goes quiescent with no pending tick.
             pacer.arm()
@@ -479,15 +457,14 @@ class HomaTransport(Transport):
     # ------------------------------------------------------------------
 
     def _grant_tick(self) -> None:
-        """One pacer firing: run the full ranking pass once.
+        """One pacer firing: run the ranking pass once.
 
-        ``changed=None`` forces ``_schedule_grants`` through the full
-        pass, which ranks the active set and emits at most one GRANT per
+        The pass ranks the active set and emits at most one GRANT per
         active message, each carrying the furthest allocation
-        (bytes_received + RTTbytes, packet-aligned) known at tick time —
-        a burst of data arrivals inside one interval collapses into one
-        batch of control packets.  The pacer is re-armed by the next
-        data arrival, so an idle receiver schedules no ticks.
+        (bytes_received + grant window, packet-aligned) known at tick
+        time — a burst of data arrivals inside one interval collapses
+        into one batch of control packets.  The pacer is re-armed by the
+        next data arrival, so an idle receiver schedules no ticks.
         """
         self.grant_ticks += 1
         self._schedule_grants()
@@ -505,91 +482,33 @@ class HomaTransport(Transport):
         self._sched_tab = tuple(self.alloc.sched_prio(r)
                                 for r in range(self.alloc.n_sched))
 
-    def _grant_degree(self) -> int:
-        return self._degree
-
-    def _schedule_grants(self, changed: Optional[InboundMessage] = None) -> None:
+    def _schedule_grants(self) -> None:
+        """The ranking pass: grant to the top-K shortest grantable
+        messages (K = overcommitment degree), each at a distinct
+        scheduled priority."""
         grantable = self._grantable
         total = len(grantable)
         degree = self._degree
-        if (changed is not None and not self._grant_dirty
-                and not self._withheld and total <= degree):
-            # Steady-state fast path: membership and allocation are
-            # unchanged since the last full pass, so every other active
-            # message already holds its full grant (the pass raised
-            # ``granted`` to its RTTbytes target and nothing about those
-            # messages moved since).  Only the message that just
-            # received data can need a new GRANT; its rank is computed
-            # against the live active set so the priority it would get
-            # from the full sort is preserved exactly.
-            msg = changed
-            if grantable.get(msg.key) is not msg:
-                return  # fully granted: nothing further to extend
-            new_grant = msg.received.total + self.grant_window
-            new_grant = -(-new_grant // MAX_PAYLOAD) * MAX_PAYLOAD
-            if new_grant > msg.length:
-                new_grant = msg.length
-            if new_grant <= msg.granted:
-                return
-            self._emit_changed_grant(msg, new_grant, grantable)
-            return
         if (total > degree) != self._withheld:
             self._set_withheld(total > degree)
         if not total or not degree:
             self._grant_dirty = False
             return
-        # Top-K (K = overcommitment degree) by (bytes_remaining,
-        # first_arrival_ps, sort_seq) straight off the lazy heap:
-        # O(K log n) per data packet instead of sorting every inbound
-        # message.  Stale entries (message completed/fully granted, or
-        # key out of date) and duplicates are discarded as they surface.
         if total <= degree:
-            # Fast path (the common case at sane overcommitment): every
-            # grantable message is active, no ranking needed — the
-            # priority sort below establishes the final order anyway.
-            # The grant heap is not consulted here, so it goes (or
-            # stays) quiescent: no refresh pushes until the active set
-            # outgrows the degree again.
-            if self._heap_live:
-                self._heap_live = False
-                self._grant_heap.clear()
+            # Every grantable message is active; the priority sort
+            # below establishes the order.
             active = list(grantable.values())
         else:
-            heap = self._grant_heap
-            if not self._heap_live:
-                # Coming out of quiescence: rebuild from live state.
-                # Every entry is fresh, so the top-K pops below see
-                # exactly what incremental maintenance would have kept
-                # (stale entries would have been filtered anyway).
-                for m in grantable.values():
-                    heap.append([m.length - m.received.total,
-                                 m.first_arrival_ps, m.sort_seq, m])
-                heapify(heap)
-                self._heap_live = True
-            entries: list[list] = []
-            active: list[InboundMessage] = []
-            seen: set[int] = set()
-            while heap and len(entries) < degree:
-                entry = heappop(heap)
-                msg = entry[3]
-                key = msg.key
-                if (grantable.get(key) is not msg or key in seen
-                        or entry[0] != msg.length - msg.received.total):
-                    continue
-                seen.add(key)
-                entries.append(entry)
-                active.append(msg)
-            for entry in entries:
-                heappush(heap, entry)
+            # Top-K by (bytes_remaining, first_arrival_ps, sort_seq),
+            # ascending.
+            active = nsmallest(degree, grantable.values(), key=_srpt_key)
             if self.cfg.grant_oldest:
                 # Section 5.1 speculation: always keep the oldest
                 # partially-received message schedulable so the very
                 # largest messages cannot starve.
-                oldest = self._oldest_grantable()
-                if oldest is not None and oldest not in active:
+                oldest = min(grantable.values(), key=_arrival_key)
+                if oldest not in active:
                     active[-1] = oldest
-        if not active:
-            return
         # Most remaining bytes -> rank 0 -> lowest scheduled level, so a
         # newly arriving shorter message preempts without lag (Fig 5).
         if len(active) == 1:
@@ -633,67 +552,6 @@ class HomaTransport(Transport):
         return self.pool.alloc_ctrl(
             PacketType.GRANT, self.hid, msg.src, msg.rpc_id, msg.is_request,
             new_grant, prio, 0, 0, cutoffs)
-
-    def _emit_changed_grant(self, msg: InboundMessage, new_grant: int,
-                            grantable: dict[int, InboundMessage]) -> None:
-        """Emit the one GRANT for the message that just progressed."""
-        # Rank among the active set by (-bytes_remaining,
-        # -first_arrival_ps, sort_seq), exactly as the full sort would
-        # (tuple-free: this loop runs per data packet).
-        m_br = msg.length - msg.received.total
-        m_fa = msg.first_arrival_ps
-        m_seq = msg.sort_seq
-        rank = 0
-        for other in grantable.values():
-            if other is msg:
-                continue
-            o_br = other.length - other.received.total
-            if o_br > m_br:
-                rank += 1
-            elif o_br == m_br:
-                o_fa = other.first_arrival_ps
-                if o_fa > m_fa or (o_fa == m_fa and other.sort_seq < m_seq):
-                    rank += 1
-        tab = self._sched_tab
-        ntab = len(tab)
-        prio = tab[rank] if rank < ntab else tab[ntab - 1]
-        msg.sched_prio = prio
-        msg.granted = new_grant
-        if new_grant >= msg.length:
-            del grantable[msg.key]
-            self._grant_dirty = True
-        self.grants_sent += 1
-        cutoffs = None if self.estimator is None else self._cutoffs_to_advertise()
-        self.send_ctrl(self._grant_packet(msg, new_grant, prio, cutoffs))
-
-    def _prune_grant_heap(self) -> None:
-        """Drop stale/duplicate entries so the heap tracks the live set.
-
-        Amortized O(1) per push: triggered only when stale entries
-        outnumber live messages 4:1.  Valid duplicates for one message
-        are byte-identical lists, so keeping one per key is lossless.
-        """
-        grantable = self._grantable
-        fresh: dict[int, list] = {}
-        for entry in self._grant_heap:
-            msg = entry[3]
-            if (grantable.get(msg.key) is msg
-                    and entry[0] == msg.length - msg.received.total):
-                fresh[msg.key] = entry
-        heap = list(fresh.values())
-        heapify(heap)
-        self._grant_heap = heap
-
-    def _oldest_grantable(self) -> Optional[InboundMessage]:
-        """Live head of the arrival index (oldest grantable message)."""
-        heap = self._arrival_heap
-        grantable = self._grantable
-        while heap:
-            msg = heap[0][2]
-            if grantable.get(msg.key) is msg:
-                return msg
-            heappop(heap)
-        return None
 
     def _set_withheld(self, withheld: bool) -> None:
         if withheld != self._withheld:

@@ -127,7 +127,7 @@ class OutboundMessage:
     __slots__ = (
         "rpc_id", "is_request", "src", "dst", "length", "sent", "granted",
         "grant_prio", "unsched_limit", "created_ps", "rtx", "app_meta",
-        "incast", "acked", "cwnd", "in_flight", "done", "sort_seq", "key",
+        "incast", "acked", "in_flight", "sort_seq", "key",
     )
 
     def __init__(
@@ -157,11 +157,9 @@ class OutboundMessage:
         self.rtx: deque[list[int]] = deque()
         self.app_meta = app_meta
         self.incast = False
-        # Fields used by window-based baselines (pFabric / PIAS / stream):
+        # Used by the window-based baselines (pFabric / NDP / stream):
         self.acked = Intervals()
-        self.cwnd = 0
         self.in_flight = 0
-        self.done = False
         # Deterministic tie-break for indexed SRPT schedulers: assigned
         # by the transport in registration order (= dict insertion order
         # of the pre-index linear scans it replaces).

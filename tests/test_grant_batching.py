@@ -171,6 +171,41 @@ def test_completion_frees_slot_for_withheld_message():
     assert msg_b.granted == aligned(MAX_PAYLOAD + transport.grant_window, 500_000)
 
 
+def test_count_mode_ranks_every_n_arrivals_and_on_critical_events():
+    """``grant_batch_pkts=10``: one ranking pass per 10 data arrivals,
+    except that a new grantable message, an exhausted sender window and
+    a freed overcommitment slot each run it at once."""
+    cfg = HomaConfig(grant_batch_ns=0, grant_batch_pkts=10,
+                     overcommit_override=1)
+    sim = Simulator()
+    alloc = allocate_priorities(WORKLOADS["W4"].cdf,
+                                cfg.resolved_unsched_limit(RTT), n_prios=8)
+    transport = HomaTransport(sim, cfg, alloc, RTT)
+    transport.bind(FakeHost(sim, 0))
+    assert transport._grant_timer is None
+    assert transport.grant_window == RTT + 10 * MAX_PAYLOAD
+
+    def arrive(src, rpc_id, index, total, grant_offset=None):
+        pkt = data_packet(src, rpc_id, index * MAX_PAYLOAD, MAX_PAYLOAD, total)
+        if grant_offset is not None:
+            pkt.grant_offset = grant_offset
+        transport.on_packet(pkt)
+        return transport.grant_ticks
+
+    assert arrive(1, 100, 0, 200_000) == 1  # new grantable message
+    assert [arrive(1, 100, i, 200_000) for i in range(1, 11)] == [1] * 9 + [2]
+    assert arrive(2, 101, 0, 900_000) == 3  # new grantable message
+    # B is withheld (degree 1, A is shorter): its window ends with its
+    # unscheduled prefix, and the packet that exhausts it ranks at once.
+    assert [arrive(2, 101, i, 900_000) for i in range(1, 7)] == [3] * 5 + [4]
+    by_src = {m.src: m for m in transport.inbound.values()}
+    assert by_src[2].granted == 10220
+    # A's sender reports it fully granted: the freed slot ranks at once
+    # and goes to B.
+    assert arrive(1, 100, 11, 200_000, grant_offset=200_000) == 5
+    assert by_src[2].granted > 10220
+
+
 def test_resend_timer_still_fires_under_batching():
     """Batching must not disturb the receiver's loss recovery: a gap in
     granted data still produces a RESEND naming the missing range."""

@@ -10,6 +10,7 @@ from dataclasses import replace
 
 from repro.core.engine import Simulator
 from repro.core.packet import CTRL_PRIO, MAX_PAYLOAD, Packet, PacketType
+from repro.core.units import US
 from repro.homa.config import HomaConfig
 from repro.homa.priorities import allocate_priorities
 from repro.homa.transport import HomaTransport
@@ -106,6 +107,37 @@ def test_withheld_observer_fires_on_transitions():
     assert events == []  # one grantable message, degree 1: not withheld
     transport.on_packet(data_packet(2, 101, 0, MAX_PAYLOAD, 400_000))
     assert events == [True]
+
+
+def test_grant_oldest_keeps_slot_for_older_message():
+    """Degree 1 with ``grant_oldest`` (section 5.1): an older long
+    message keeps the one scheduled slot when a shorter, newer message
+    arrives; without the flag SRPT hands the slot to the newcomer."""
+    for oldest in (True, False):
+        cfg = HomaConfig(overcommit_override=1, grant_oldest=oldest)
+        sim, transport = make_transport(cfg)
+        transport.on_packet(data_packet(1, 100, 0, MAX_PAYLOAD, 900_000))
+        sim.run(until_ps=US)  # the second message arrives strictly later
+        transport.on_packet(data_packet(2, 101, 0, MAX_PAYLOAD, 50_000))
+        by_src = {m.src: m for m in transport.inbound.values()}
+        assert by_src[1].first_arrival_ps < by_src[2].first_arrival_ps
+        first_grant = by_src[1].granted
+        assert first_grant > 10220
+        drain_ctrl(transport)
+        transport.on_packet(data_packet(1, 100, MAX_PAYLOAD, MAX_PAYLOAD,
+                                        900_000))
+        transport.on_packet(data_packet(2, 101, MAX_PAYLOAD, MAX_PAYLOAD,
+                                        50_000))
+        granted_to = [p.dst for p in drain_ctrl(transport)
+                      if p.kind == PacketType.GRANT]
+        if oldest:
+            assert granted_to == [1]
+            assert by_src[1].granted > first_grant
+            assert by_src[2].granted == 10220  # unscheduled prefix only
+        else:
+            assert granted_to == [2]
+            assert by_src[1].granted == first_grant
+            assert by_src[2].granted > 10220
 
 
 def test_sender_prefers_control_packets():

@@ -19,6 +19,7 @@ from repro.core.packet import MAX_PAYLOAD, Packet, PacketType
 from repro.core.port import PfabricPort, QueuedPort
 from repro.core.topology import TopologySpec
 from repro.core.units import US
+from repro.experiments.campaign import slowdown_digest
 from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.homa.config import HomaConfig
 from repro.transport.messages import InboundMessage, Intervals, OutboundMessage
@@ -305,7 +306,7 @@ def test_sender_srpt_order_served_from_heap():
     sender.send_message(1, 5 * MAX_PAYLOAD)
     sizes = []
     while True:
-        pkt = sender._next_data()
+        pkt = sender.next_packet()
         if pkt is None:
             break
         sizes.append(pkt.total_length)
@@ -426,6 +427,36 @@ def test_w4_digest_byte_identical_to_seed():
     assert [repr(x) for x in result.slowdown_series(99)] == GOLDEN_P99
     assert result.completed == result.submitted == 83
 
+
+#: Degree-1 W4 cells, where the receiver's top-K ranking and the
+#: ``grant_oldest`` slot both run (the digests above use the default
+#: degree).  Recorded on the tree before the grant ranking became one
+#: ``nsmallest`` pass: (grant_batch_ns, grant_oldest) -> (slowdown
+#: digest, completed, GRANTs).
+LOW_DEGREE_DIGESTS = {
+    (0, False): ("8d651264235693b591ae9f5781a4dc9b"
+                 "5b75a5a8d384a92da95ec847dc4b3891", 47, 13272),
+    (0, True): ("4ba37b974bf368b6b6695df4f21ffe7e"
+                "ed3f1bb08fb6d033d48060a74d1a482c", 47, 13266),
+    (4000, False): ("d9329920e04b914e071e9a699273a39e"
+                    "279db242cf8f6e438d1664df64f89890", 47, 3326),
+    (4000, True): ("24d6c843041863c676fb4cd81773f71c"
+                   "50ca281b8b464b16670f3efd2a339003", 47, 3328),
+}
+
+
+@pytest.mark.parametrize("batch_ns,oldest", sorted(LOW_DEGREE_DIGESTS))
+def test_low_degree_digest_pinned(batch_ns, oldest):
+    digest, completed, grants = LOW_DEGREE_DIGESTS[batch_ns, oldest]
+    result = run_experiment(ExperimentConfig(
+        protocol="homa", workload="W4", load=0.9, racks=2,
+        hosts_per_rack=4, aggrs=2, duration_ms=1.5, warmup_ms=0.0,
+        drain_ms=8.0, seed=7, max_messages=100,
+        homa=HomaConfig(grant_batch_ns=batch_ns, overcommit_override=1,
+                        grant_oldest=oldest)))
+    assert result.completed == result.submitted == completed
+    assert result.control.grants == grants
+    assert slowdown_digest({"homa": result}) == digest
 
 # ---------------------------------------------------------------------------
 # Arrival fusion: the fused ingress against its unfused reference
