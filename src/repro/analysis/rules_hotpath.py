@@ -42,12 +42,10 @@ HOT_FUNCTIONS: dict[str, frozenset[str]] = {
     "src/repro/core/engine.py": frozenset(
         {
             "Simulator.schedule",
-            "Simulator.schedule0",
             "Simulator.schedule1",
-            "Simulator.schedule_at",
             "Simulator._file_far",
             "Simulator._refill",
-            "Simulator._run_loop",
+            "Simulator.run",
         }
     ),
     "src/repro/core/port.py": frozenset(

@@ -6,7 +6,6 @@ fires (``core/engine.py``):
 
 * ``schedule(delay, fn, *args)`` / ``schedule_at(t, fn, *args)`` — the
   callback receives exactly the trailing ``*args``;
-* ``schedule0(delay, fn)`` — the callback receives nothing;
 * ``schedule1(delay, fn, arg)`` — the callback receives exactly one
   argument.
 
@@ -33,7 +32,7 @@ from repro.analysis.core import Finding, Module, Project, rule
 #: schedule variant -> number of fixed leading parameters before *args
 #: (None means the variant has an exact trailing-argument count instead)
 _VARIADIC = {"schedule": 2, "schedule_at": 2}
-_EXACT = {"schedule0": 0, "schedule1": 1}
+_EXACT = {"schedule1": 1}
 
 
 def _callback_arity(
@@ -85,10 +84,9 @@ def check_sched_arity(project: Project) -> list[Finding]:
     """Callback signature vs the ``Simulator.schedule*`` variant's arity.
 
     ``schedule``/``schedule_at`` deliver their trailing ``*args``,
-    ``schedule0`` delivers none, ``schedule1`` delivers one.  Checked
-    only when the callback resolves inside the module (self-methods,
-    local/module defs, lambdas); everything else is skipped rather than
-    guessed.
+    ``schedule1`` delivers one.  Checked only when the callback resolves
+    inside the module (self-methods, local/module defs, lambdas);
+    everything else is skipped rather than guessed.
     """
     out: list[Finding] = []
     for mod in project.modules:

@@ -38,7 +38,7 @@ _UNIT_CONSTS = {"PS": "ps", "NS": "ns", "US": "us", "MS": "ms"}
 
 #: Simulator scheduling entry points; the first argument is always a
 #: picosecond quantity (relative delay or absolute timestamp).
-_SCHEDULERS = ("schedule", "schedule0", "schedule1", "schedule_at")
+_SCHEDULERS = ("schedule", "schedule1", "schedule_at")
 
 
 def _ident_unit(name: str) -> Optional[str]:

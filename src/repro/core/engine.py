@@ -26,14 +26,12 @@ order is identical to a single global heap.
 
 from __future__ import annotations
 
-import sys
 from heapq import heappop, heappush
 from typing import Any, Callable, List
 
 Event = List[Any]  # [time_ps, seq, fn, arg]
 
 _TIME = 0
-_SEQ = 1
 _FN = 2
 
 
@@ -96,21 +94,9 @@ class Simulator:
             self._file_far(event, time_ps)
         return event
 
-    def schedule0(self, delay_ps: int, fn: Callable) -> Event:
-        """``schedule`` specialised to zero arguments (hot path)."""
-        if delay_ps < 0:
-            raise ValueError(f"negative delay {delay_ps}")
-        time_ps = self.now + delay_ps
-        self._seq += 1
-        event: Event = [time_ps, self._seq, fn, None]
-        if time_ps < self._horizon:
-            heappush(self._heap, event)
-        else:
-            self._file_far(event, time_ps)
-        return event
-
     def schedule1(self, delay_ps: int, fn: Callable, arg: Any) -> Event:
-        """``schedule`` specialised to one non-None, non-tuple argument."""
+        """``schedule`` specialised to one non-None, non-tuple argument
+        (the per-packet sites inline it; see ``_file_far``)."""
         if delay_ps < 0:
             raise ValueError(f"negative delay {delay_ps}")
         time_ps = self.now + delay_ps
@@ -124,15 +110,7 @@ class Simulator:
 
     def schedule_at(self, time_ps: int, fn: Callable, *args: Any) -> Event:
         """Run ``fn(*args)`` at absolute ``time_ps``."""
-        if time_ps < self.now:
-            raise ValueError(f"cannot schedule in the past ({time_ps} < {self.now})")
-        self._seq += 1
-        event: Event = [time_ps, self._seq, fn, _pack_arg(args)]
-        if time_ps < self._horizon:
-            heappush(self._heap, event)
-        else:
-            self._file_far(event, time_ps)
-        return event
+        return self.schedule(time_ps - self.now, fn, *args)
 
     def _file_far(self, event: Event, time_ps: int) -> None:
         """Park an event beyond the heap horizon in the right wheel.
@@ -207,34 +185,12 @@ class Simulator:
     def is_pending(event: Event) -> bool:
         return event[_FN] is not None
 
-    def peek_time(self) -> int | None:
-        """Timestamp of the next live event, or None when idle."""
-        heap = self._heap
-        while True:
-            while heap and heap[0][_FN] is None:
-                heappop(heap)
-            if heap:
-                return heap[0][_TIME]
-            if not (self._wheel0 or self._wheel1):
-                return None
-            self._refill()
-
     def run(self, until_ps: int | None = None) -> int:
         """Process events until the horizon or exhaustion; returns count.
 
         ``until_ps`` is inclusive: events stamped exactly at the horizon
         still fire, and the clock is left at the horizon afterwards.
         """
-        # The simulator is single-threaded compute: relax the GIL check
-        # interval for the duration of the loop (restored on exit).
-        switch_interval = sys.getswitchinterval()
-        sys.setswitchinterval(0.1)
-        try:
-            return self._run_loop(until_ps)
-        finally:
-            sys.setswitchinterval(switch_interval)
-
-    def _run_loop(self, until_ps):
         heap = self._heap
         pop = heappop
         processed = 0
@@ -270,57 +226,3 @@ class Simulator:
             self.now = until_ps
         self.events_processed += processed
         return processed
-
-    def pending_events(self) -> int:
-        """Number of live (non-cancelled) events still queued."""
-        count = sum(1 for event in self._heap if event[_FN] is not None)
-        for wheel in (self._wheel0, self._wheel1):
-            for bucket in wheel.values():
-                count += sum(1 for event in bucket if event[_FN] is not None)
-        return count
-
-
-class CoalescingTimer:
-    """A re-armable one-shot timer that collapses bursts of work.
-
-    ``arm()`` schedules ``fn`` one ``interval_ps`` ahead unless a firing
-    is already pending, so any number of ``arm()`` calls inside one
-    interval produce exactly one callback — the scheduling half of every
-    batching pattern (the Homa receiver's grant pacer, flush timers).
-    The event rides the simulator's heap/wheel like any other; the
-    callback runs with the timer disarmed, so it may re-arm itself.
-
-    Cancellation reuses the engine's lazy event cancellation: O(1), and
-    a cancelled event simply never fires.
-    """
-
-    __slots__ = ("_sim", "interval_ps", "_fn", "_event")
-
-    def __init__(self, sim: Simulator, interval_ps: int,
-                 fn: Callable[[], None]) -> None:
-        if interval_ps <= 0:
-            raise ValueError(f"interval must be positive, got {interval_ps}")
-        self._sim = sim
-        self.interval_ps = interval_ps
-        self._fn = fn
-        self._event: Event | None = None
-
-    @property
-    def pending(self) -> bool:
-        """True when a firing is already scheduled."""
-        return self._event is not None
-
-    def arm(self) -> None:
-        """Schedule the next firing unless one is already pending."""
-        if self._event is None:
-            self._event = self._sim.schedule0(self.interval_ps, self._fire)
-
-    def cancel(self) -> None:
-        """Drop the pending firing, if any (arm() starts a fresh one)."""
-        if self._event is not None:
-            self._event[_FN] = None
-            self._event = None
-
-    def _fire(self) -> None:
-        self._event = None
-        self._fn()

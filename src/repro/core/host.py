@@ -20,7 +20,7 @@ class Host:
     """One server: id, rack, an uplink NIC port, and a transport."""
 
     __slots__ = ("sim", "hid", "rack", "egress", "transport",
-                 "software_delay_ps", "_deliver_cb")
+                 "software_delay_ps")
 
     def __init__(self, sim: Simulator, hid: int, rack: int, software_delay_ps: int) -> None:
         self.sim = sim
@@ -29,10 +29,6 @@ class Host:
         self.egress: PullPort | None = None
         self.transport = None
         self.software_delay_ps = software_delay_ps
-        # Bound once (resolves self.transport at fire time, so packets
-        # delivered before attach() still fail loudly rather than being
-        # dropped as cancelled events).
-        self._deliver_cb = self._deliver
 
     def attach(self, transport) -> None:
         """Bind a transport to this host (and the NIC to the transport)."""
@@ -46,7 +42,7 @@ class Host:
         sim = self.sim
         time_ps = sim.now + self.software_delay_ps
         sim._seq += 1
-        event = [time_ps, sim._seq, self._deliver_cb, pkt]
+        event = [time_ps, sim._seq, self._deliver, pkt]
         if time_ps < sim._horizon:
             heappush(sim._heap, event)
         else:

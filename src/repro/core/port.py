@@ -53,8 +53,7 @@ class BasePort:
     __slots__ = (
         "sim", "name", "level", "ppb", "deliver", "busy",
         "cur_pkt", "cur_end_ps", "probe", "trace_delays",
-        "tx_packets", "tx_wire_bytes", "drops", "_tx_done_cb", "enqueue_cb",
-        "fuse_ok", "last_arrival_ps",
+        "tx_packets", "tx_wire_bytes", "drops", "fuse_ok", "last_arrival_ps",
     )
 
     def __init__(
@@ -78,11 +77,6 @@ class BasePort:
         self.tx_packets = 0
         self.tx_wire_bytes = 0
         self.drops = 0
-        # Bound once: creating the bound method on every transmission is
-        # measurable at millions of events per run.  ``enqueue_cb`` is
-        # the same trick for the ingress closures' arrival events.
-        self._tx_done_cb = self._tx_done
-        self.enqueue_cb = self.enqueue
         # Arrival fusion (see topology's fused switch ingress): True only
         # where enqueueing early is invisible — no drops/marking/trimming
         # /preemption (queue state must not influence anything between
@@ -112,9 +106,9 @@ class BasePort:
         self.cur_end_ps = time_ps
         if self.probe is not None:
             self.probe.on_busy_change(sim.now, True)
-        # schedule0 inlined: one event per transmitted packet.
+        # schedule inlined: one event per transmitted packet.
         sim._seq += 1
-        event = [time_ps, sim._seq, self._tx_done_cb, None]
+        event = [time_ps, sim._seq, self._tx_done, None]
         if time_ps < sim._horizon:
             heappush(sim._heap, event)
         else:
@@ -142,15 +136,15 @@ class BasePort:
 class QueuedPort(BasePort):
     """Switch egress port with 8 strict priority FIFO queues.
 
-    ``_nonempty`` is a bitmask with bit ``p`` set iff ``queues[p]`` holds
-    at least one packet, so picking the highest busy priority is a single
-    ``int.bit_length`` instead of a scan over all 8 queues per dequeue.
+    ``qbytes`` (queued bytes, excluding the packet on the wire) is zero
+    exactly when every queue is empty; a dequeue scans down from the
+    highest priority to the first non-empty queue.
     """
 
     __slots__ = (
         "queues", "qbytes", "prio_qbytes", "buffer_bytes",
         "ecn_bytes", "trim_bytes", "preemptive", "_paused", "_tx_event",
-        "_nonempty", "_vanilla",
+        "_vanilla",
     )
 
     def __init__(
@@ -176,7 +170,6 @@ class QueuedPort(BasePort):
         self.preemptive = preemptive
         self._paused: list[tuple[Packet, int]] = []  # (packet, remaining ps)
         self._tx_event = None
-        self._nonempty = 0  # bit p set iff queues[p] is non-empty
         # Fast-path flag: no marking/trimming/drops/preemption to check.
         self._vanilla = (buffer_bytes is None and ecn_bytes is None
                          and trim_bytes is None and not preemptive)
@@ -184,7 +177,7 @@ class QueuedPort(BasePort):
 
     def enqueue(self, pkt: Packet) -> None:
         if self._vanilla:
-            if (not self.busy and not self._nonempty and self.probe is None
+            if (not self.busy and not self.qbytes and self.probe is None
                     and not self._paused):
                 # Idle, empty port: transmit directly, skip the queue
                 # round-trip (event creation inlined — this is the
@@ -196,7 +189,7 @@ class QueuedPort(BasePort):
                 self.cur_pkt = pkt
                 self.cur_end_ps = time_ps
                 sim._seq += 1
-                event = [time_ps, sim._seq, self._tx_done_cb, None]
+                event = [time_ps, sim._seq, self._tx_done, None]
                 if time_ps < sim._horizon:
                     heappush(sim._heap, event)
                 else:
@@ -210,7 +203,6 @@ class QueuedPort(BasePort):
                 else:
                     pkt.q_wait += residual
             self.queues[prio].append(pkt)
-            self._nonempty |= 1 << prio
             self.qbytes += pkt.wire
             if self.probe is not None:
                 self.probe.on_queue_change(self.sim.now, self.qbytes)
@@ -248,7 +240,6 @@ class QueuedPort(BasePort):
             else:
                 pkt.q_wait += residual
         self.queues[pkt.prio].append(pkt)
-        self._nonempty |= 1 << pkt.prio
         self.qbytes += pkt.wire
         self.prio_qbytes[pkt.prio] += pkt.wire
         if self.probe is not None:
@@ -278,7 +269,6 @@ class QueuedPort(BasePort):
             free_packet(pkt)
             flushed += 1
         self._paused.clear()
-        self._nonempty = 0
         self.qbytes = 0
         self.prio_qbytes = [0] * N_PRIORITIES
         if flushed and self.probe is not None:
@@ -289,41 +279,29 @@ class QueuedPort(BasePort):
         """Ideal link-level preemption: pause the in-flight packet."""
         remaining = self.cur_end_ps - self.sim.now
         paused = self.cur_pkt
-        # The pending _tx_done event is found by rebuilding: simplest
-        # correct approach is to mark the port idle and re-arm.  The
-        # old completion event must be cancelled via a generation check.
+        # Park the packet with its remaining serialization time, mark
+        # the port idle, cancel the pending _tx_done event (preemptive
+        # ports keep its handle in _tx_event) and pick the next packet.
         self._paused.append((paused, remaining))
         self.cur_pkt = None
         self.busy = False
-        self._cancel_pending_tx()
+        if self._tx_event is not None:
+            Simulator.cancel(self._tx_event)
         self._next()
 
-    def _cancel_pending_tx(self) -> None:
-        # BasePort scheduled _tx_done; we cannot keep a handle per
-        # transmission without burdening the hot path, so preemptive
-        # ports keep one.  Lazily created on first use.
-        event = getattr(self, "_tx_event", None)
-        if event is not None:
-            Simulator.cancel(event)
-
     def _transmit(self, pkt: Packet) -> None:
-        duration = pkt.wire * self.ppb
-        self.busy = True
-        self.cur_pkt = pkt
-        self.cur_end_ps = self.sim.now + duration
-        if self.probe is not None:
-            self.probe.on_busy_change(self.sim.now, True)
-        event = self.sim.schedule0(duration, self._tx_done_cb)
-        if self.preemptive:
-            self._tx_event = event
+        self._resume(pkt, pkt.wire * self.ppb)
 
     def _resume(self, pkt: Packet, remaining: int) -> None:
+        """Serialize ``pkt`` for ``remaining`` ps (its whole wire time
+        unless it was paused by a preemption)."""
+        sim = self.sim
         self.busy = True
         self.cur_pkt = pkt
-        self.cur_end_ps = self.sim.now + remaining
+        self.cur_end_ps = sim.now + remaining
         if self.probe is not None:
-            self.probe.on_busy_change(self.sim.now, True)
-        event = self.sim.schedule0(remaining, self._tx_done_cb)
+            self.probe.on_busy_change(sim.now, True)
+        event = sim.schedule(remaining, self._tx_done)
         if self.preemptive:
             self._tx_event = event
 
@@ -341,17 +319,17 @@ class QueuedPort(BasePort):
             self.probe.on_tx_done(self.sim.now, pkt)
             self.probe.on_busy_change(self.sim.now, False)
         self.deliver(pkt)
-        mask = self._nonempty
         if self._paused:
             self._next()
             return
-        if not mask:
+        if not self.qbytes:
             return
-        prio = mask.bit_length() - 1
-        queue = self.queues[prio]
+        queues = self.queues
+        prio = N_PRIORITIES - 1
+        while not queues[prio]:
+            prio -= 1
+        queue = queues[prio]
         pkt = queue.popleft()
-        if not queue:
-            self._nonempty = mask & ~(1 << prio)
         self.qbytes -= pkt.wire
         if not self._vanilla:
             self.prio_qbytes[prio] -= pkt.wire
@@ -363,7 +341,7 @@ class QueuedPort(BasePort):
             self.cur_pkt = pkt
             self.cur_end_ps = time_ps
             sim._seq += 1
-            event = [time_ps, sim._seq, self._tx_done_cb, None]
+            event = [time_ps, sim._seq, self._tx_done, None]
             if time_ps < sim._horizon:
                 heappush(sim._heap, event)
             else:
@@ -378,18 +356,19 @@ class QueuedPort(BasePort):
         self._transmit(pkt)
 
     def _next(self) -> None:
-        # Highest non-empty priority in O(1) via the occupancy bitmask.
-        prio = self._nonempty.bit_length() - 1
+        # Highest non-empty priority, -1 when every queue is empty.
+        queues = self.queues
+        prio = N_PRIORITIES - 1
+        while prio >= 0 and not queues[prio]:
+            prio -= 1
         if self._paused and self._paused[-1][0].prio >= prio:
             pkt, remaining = self._paused.pop()
             self._resume(pkt, remaining)
             return
         if prio < 0:
             return
-        queue = self.queues[prio]
+        queue = queues[prio]
         pkt = queue.popleft()
-        if not queue:
-            self._nonempty &= ~(1 << prio)
         self.qbytes -= pkt.wire
         if not self._vanilla:
             self.prio_qbytes[prio] -= pkt.wire
@@ -403,7 +382,7 @@ class QueuedPort(BasePort):
             self.cur_pkt = pkt
             self.cur_end_ps = time_ps
             sim._seq += 1
-            event = [time_ps, sim._seq, self._tx_done_cb, None]
+            event = [time_ps, sim._seq, self._tx_done, None]
             if time_ps < sim._horizon:
                 heappush(sim._heap, event)
             else:
@@ -426,11 +405,7 @@ class QueuedPort(BasePort):
         """
         duration = winner.wire * self.ppb
         wprio = winner.prio
-        mask = self._nonempty
-        while mask:
-            prio = mask.bit_length() - 1
-            mask &= ~(1 << prio)
-            queue = self.queues[prio]
+        for prio, queue in enumerate(self.queues):
             if wprio < prio:
                 for waiting in queue:
                     waiting.p_wait += duration
@@ -564,7 +539,7 @@ class PullPort(BasePort):
                 if self.probe is not None:
                     self.probe.on_busy_change(sim.now, True)
                 sim._seq += 1
-                event = [time_ps, sim._seq, self._tx_done_cb, None]
+                event = [time_ps, sim._seq, self._tx_done, None]
                 if time_ps < sim._horizon:
                     heappush(sim._heap, event)
                 else:

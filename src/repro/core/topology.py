@@ -294,8 +294,7 @@ class Network:
                         and (port.cur_end_ps > arrival
                              or (port.cur_end_ps
                                  + port.qbytes * port.ppb > arrival
-                                 and not (port._nonempty
-                                          & ((1 << pkt.prio) - 1))))):
+                                 and not any(port.queues[:pkt.prio])))):
                     # Busy past the arrival — or busy with enough
                     # queued backlog at-or-above this packet's priority
                     # that it cannot be dequeued before it really
@@ -307,7 +306,7 @@ class Network:
                     return
             port.last_arrival_ps = arrival
             sim._seq += 1
-            event = [arrival, sim._seq, port.enqueue_cb, pkt]
+            event = [arrival, sim._seq, port.enqueue, pkt]
             if arrival < sim._horizon:
                 heappush(sim._heap, event)
             else:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from heapq import heappop, heappush, heapreplace, nsmallest
 from typing import Callable, Optional
 
-from repro.core.engine import CoalescingTimer, Simulator
+from repro.core.engine import Simulator
 from repro.core.packet import MAX_PAYLOAD, Packet, PacketType
 from repro.core.pool import PacketPool
 from repro.core.units import NS, ps_per_byte
@@ -160,13 +160,17 @@ class HomaTransport(Transport):  # simlint: ok(registry-hooks) — next_packet i
         # count-based coalescing ranks at once instead of waiting for
         # its Nth arrival.
         self._grant_dirty = True
-        # Grant pacer: with grant_batch_ns nonzero, data arrivals only
-        # arm this timer and the ranking pass runs once per tick,
-        # emitting at most one GRANT per active message (batched mode).
-        # None = legacy per-packet grants, byte-identical to the seed.
-        self._grant_timer = (
-            CoalescingTimer(sim, cfg.grant_batch_ns * NS, self._grant_tick)
-            if cfg.grant_batch_ns and not cfg.grant_batch_pkts else None)
+        # Grant pacer: with grant_batch_ns nonzero, a data arrival only
+        # schedules ``_grant_tick`` one interval ahead when no tick is
+        # pending (``_grant_event``), so the ranking pass runs once per
+        # tick, emitting at most one GRANT per active message (batched
+        # mode).  0 = legacy per-packet grants, byte-identical to the seed.
+        if cfg.grant_batch_ns < 0:
+            raise ValueError(
+                f"grant_batch_ns must be >= 0, got {cfg.grant_batch_ns}")
+        self._grant_interval_ps = (
+            0 if cfg.grant_batch_pkts else cfg.grant_batch_ns * NS)
+        self._grant_event = None
         # Count-based coalescing (grant_batch_pkts > 0, the Linux
         # kernel's approach): a data-arrival counter replaces the timer.
         self._grant_batch_pkts = cfg.grant_batch_pkts
@@ -401,8 +405,8 @@ class HomaTransport(Transport):  # simlint: ok(registry-hooks) — next_packet i
             if self._grantable.pop(key, None):
                 self._grant_dirty = True
             self._inbound_finished(msg)
-        pacer = self._grant_timer
-        if pacer is None:
+        interval = self._grant_interval_ps
+        if not interval:
             n = self._grant_batch_pkts
             if n:
                 # Count-based coalescing: one ranking pass per N data
@@ -418,14 +422,14 @@ class HomaTransport(Transport):  # simlint: ok(registry-hooks) — next_packet i
                     self._schedule_grants()
             else:
                 self._schedule_grants()  # per-packet: the paper's model
-        elif self._grantable:
+        elif self._grantable and self._grant_event is None:
             # Batched mode: mark grant-dirty work by arming the pacer —
             # covers both "this message can take a further grant" and
             # "a completion/full-grant freed an overcommitment slot"
             # (the tick's ranking pass handles either).  An empty
             # grantable set has no grants to extend, so the receiver
             # goes quiescent with no pending tick.
-            pacer.arm()
+            self._grant_event = self.sim.schedule(interval, self._grant_tick)
         timer = self._timer_event
         if timer is None or timer[2] is None:  # inline is_pending
             self._ensure_timer()
@@ -466,6 +470,7 @@ class HomaTransport(Transport):  # simlint: ok(registry-hooks) — next_packet i
         into one batch of control packets.  The pacer is re-armed by the
         next data arrival, so an idle receiver schedules no ticks.
         """
+        self._grant_event = None
         self.grant_ticks += 1
         self._schedule_grants()
 

@@ -8,7 +8,6 @@ the receiver collates them using the offsets in each packet").
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import deque
 from typing import Optional
 
@@ -18,19 +17,18 @@ from repro.core.packet import MAX_PAYLOAD
 class Intervals:
     """A set of disjoint, sorted half-open byte ranges [start, end).
 
-    Out-of-order arrivals splice into place with a bisect plus one slice
-    assignment over just the overlapped ranges — O(log n + k) for k
-    merged ranges — instead of rebuilding and re-sorting the whole list
-    (per-packet spraying makes ``add`` a per-data-packet hot path for
-    every protocol here).  ``_starts`` mirrors the range start offsets
-    so lookups can bisect without touching the range lists.
+    Arrivals at or past the end append or extend the last range (almost
+    every ``add``: per-packet spraying makes it a per-data-packet hot
+    path for every protocol here).  An out-of-order arrival splices into
+    place with one slice assignment over just the overlapped ranges,
+    found by scanning from the right: a message holds few ranges, and
+    the gap being filled is usually near its end.
     """
 
-    __slots__ = ("_ranges", "_starts", "total")
+    __slots__ = ("_ranges", "total")
 
     def __init__(self) -> None:
         self._ranges: list[list[int]] = []
-        self._starts: list[int] = []
         self.total = 0
 
     def add(self, start: int, end: int) -> int:
@@ -40,7 +38,6 @@ class Intervals:
         ranges = self._ranges
         if not ranges or start > ranges[-1][1]:
             ranges.append([start, end])  # fast path: append at the end
-            self._starts.append(start)
             self.total += end - start
             return end - start
         if start == ranges[-1][1]:  # fast path: contiguous arrival
@@ -48,15 +45,16 @@ class Intervals:
             ranges[-1][1] = end
             self.total += added
             return added
-        # General case: splice into place.  Every range with
-        # range.end < start stays untouched on the left; find the first
-        # candidate via bisect on the start offsets (a range can only
-        # overlap/touch [start, end) if its own start is <= end).
-        starts = self._starts
-        lo = bisect_left(starts, start)
-        if lo and ranges[lo - 1][1] >= start:
-            lo -= 1  # predecessor reaches into the new range
-        hi = bisect_right(starts, end, lo=lo)
+        # General case: splice ranges[lo:hi] into one.  Those are the
+        # ranges that overlap or touch [start, end): below hi every
+        # range starts at or before ``end``, and from lo up every range
+        # ends at or after ``start`` (ends grow left to right).
+        hi = len(ranges)
+        while hi and ranges[hi - 1][0] > end:
+            hi -= 1
+        lo = hi
+        while lo and ranges[lo - 1][1] >= start:
+            lo -= 1
         added = end - start
         ns, ne = start, end
         for s, e in ranges[lo:hi]:
@@ -68,14 +66,15 @@ class Intervals:
             if e > ne:
                 ne = e
         ranges[lo:hi] = [[ns, ne]]
-        starts[lo:hi] = [ns]
         self.total += added
         return added
 
     def covers(self, start: int, end: int) -> bool:
         """True if [start, end) is fully contained."""
-        index = bisect_right(self._starts, start) - 1
-        return index >= 0 and self._ranges[index][1] >= end
+        for s, e in reversed(self._ranges):
+            if s <= start:
+                return e >= end
+        return False
 
     def first_gap(self, upto: int) -> Optional[tuple[int, int]]:
         """First missing range below ``upto`` (for RESEND requests)."""

@@ -96,19 +96,6 @@ def test_schedule_in_past_rejected():
         sim.schedule_at(50, lambda: None)
 
 
-def test_peek_time_skips_cancelled():
-    sim = Simulator()
-    event = sim.schedule(5, lambda: None)
-    sim.schedule(9, lambda: None)
-    Simulator.cancel(event)
-    assert sim.peek_time() == 9
-
-
-def test_peek_time_empty():
-    sim = Simulator()
-    assert sim.peek_time() is None
-
-
 def test_new_id_unique_and_monotonic():
     sim = Simulator()
     ids = [sim.new_id() for _ in range(100)]
@@ -116,13 +103,14 @@ def test_new_id_unique_and_monotonic():
     assert ids == sorted(ids)
 
 
-def test_pending_events_counts_live_only():
+def test_cancelled_events_are_not_processed():
     sim = Simulator()
     keep = sim.schedule(10, lambda: None)
     drop = sim.schedule(20, lambda: None)
     Simulator.cancel(drop)
-    assert sim.pending_events() == 1
     assert Simulator.is_pending(keep)
+    assert sim.run() == 1
+    assert sim.events_processed == 1
 
 
 def test_events_processed_accumulates():
@@ -131,76 +119,3 @@ def test_events_processed_accumulates():
     sim.schedule(2, lambda: None)
     sim.run()
     assert sim.events_processed == 2
-
-
-# ---------------------------------------------------------------------------
-# CoalescingTimer: the batching primitive (grant pacer et al.)
-# ---------------------------------------------------------------------------
-
-
-def test_coalescing_timer_collapses_arms_into_one_fire():
-    from repro.core.engine import CoalescingTimer
-
-    sim = Simulator()
-    fired = []
-    timer = CoalescingTimer(sim, 1000, lambda: fired.append(sim.now))
-    for _ in range(5):
-        timer.arm()  # five arms inside one interval: one callback
-    assert timer.pending
-    sim.run()
-    assert fired == [1000]
-    assert not timer.pending
-
-
-def test_coalescing_timer_rearms_after_firing():
-    from repro.core.engine import CoalescingTimer
-
-    sim = Simulator()
-    fired = []
-    timer = CoalescingTimer(sim, 1000, lambda: fired.append(sim.now))
-    timer.arm()
-    sim.run()
-    timer.arm()  # a fresh interval, measured from now
-    sim.run()
-    assert fired == [1000, 2000]
-
-
-def test_coalescing_timer_callback_may_rearm_itself():
-    from repro.core.engine import CoalescingTimer
-
-    sim = Simulator()
-    fired = []
-
-    def tick():
-        fired.append(sim.now)
-        if len(fired) < 3:
-            timer.arm()
-
-    timer = CoalescingTimer(sim, 500, tick)
-    timer.arm()
-    sim.run()
-    assert fired == [500, 1000, 1500]
-
-
-def test_coalescing_timer_cancel_drops_pending_fire():
-    from repro.core.engine import CoalescingTimer
-
-    sim = Simulator()
-    fired = []
-    timer = CoalescingTimer(sim, 1000, lambda: fired.append(sim.now))
-    timer.arm()
-    timer.cancel()
-    assert not timer.pending
-    sim.run()
-    assert fired == []
-    timer.arm()  # cancel must not wedge the timer
-    sim.run()
-    assert fired == [1000]
-
-
-def test_coalescing_timer_rejects_nonpositive_interval():
-    from repro.core.engine import CoalescingTimer
-
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        CoalescingTimer(sim, 0, lambda: None)

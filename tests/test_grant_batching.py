@@ -77,8 +77,7 @@ def test_grant_window_includes_batch_slack():
     sim, transport = make_batched_transport()
     slack = -(-(BATCH_NS * NS) // ps_per_byte(10))
     assert transport.grant_window == RTT + slack
-    assert transport._grant_timer is not None
-    assert transport._grant_timer.interval_ps == BATCH_NS * NS
+    assert transport._grant_interval_ps == BATCH_NS * NS
 
 
 def test_zero_interval_is_legacy_per_packet():
@@ -89,7 +88,7 @@ def test_zero_interval_is_legacy_per_packet():
     )
     transport = HomaTransport(sim, sim_cfg, alloc, RTT)
     transport.bind(FakeHost(sim, 0))
-    assert transport._grant_timer is None
+    assert transport._grant_interval_ps == 0
     assert transport.grant_window == RTT
     transport.on_packet(data_packet(1, 100, 0, MAX_PAYLOAD, 100_000))
     assert len(grants(drain_ctrl(transport))) == 1  # synchronous GRANT
@@ -99,7 +98,7 @@ def test_no_grant_until_tick():
     sim, transport = make_batched_transport()
     transport.on_packet(data_packet(1, 100, 0, MAX_PAYLOAD, 100_000))
     assert not grants(drain_ctrl(transport))  # arrival only arms the pacer
-    assert transport._grant_timer.pending
+    assert transport._grant_event is not None
     sim.run(until_ps=5 * US)
     out = grants(drain_ctrl(transport))
     assert len(out) == 1
@@ -121,6 +120,50 @@ def test_burst_collapses_into_one_grant():
     assert out[0].grant_offset == expected
     assert transport.grants_sent == 1
     assert transport.grant_ticks == 1
+
+
+def test_pacer_ticks_one_interval_after_the_first_arrival():
+    """Arrivals inside one interval collapse into one tick, stamped one
+    interval after the first of them; the next arrival after a tick
+    starts a fresh interval, measured from that arrival."""
+    sim, transport = make_batched_transport()
+    interval = BATCH_NS * NS
+    transport.on_packet(data_packet(1, 100, 0, MAX_PAYLOAD, 100_000))
+    sim.run(until_ps=interval // 2)
+    transport.on_packet(data_packet(1, 100, MAX_PAYLOAD, MAX_PAYLOAD, 100_000))
+    sim.run(until_ps=interval - 1)
+    assert transport.grant_ticks == 0
+    sim.run(until_ps=interval)
+    assert transport.grant_ticks == 1
+    sim.run(until_ps=3 * interval)
+    transport.on_packet(
+        data_packet(1, 100, 2 * MAX_PAYLOAD, MAX_PAYLOAD, 100_000))
+    sim.run(until_ps=4 * interval - 1)
+    assert transport.grant_ticks == 1
+    sim.run(until_ps=4 * interval)
+    assert transport.grant_ticks == 2
+
+
+def test_idle_receiver_schedules_no_tick():
+    """Nothing grantable, nothing scheduled: a message that arrives
+    whole arms no tick, and once data stops arriving the pacer stops
+    ticking too."""
+    sim, transport = make_batched_transport()
+    transport.on_packet(data_packet(1, 100, 0, 1000, 1000))
+    sim.run(until_ps=10 * BATCH_NS * NS)
+    assert transport.messages_received == 1
+    assert transport.grant_ticks == 0
+    transport.on_packet(data_packet(2, 101, 0, MAX_PAYLOAD, 100_000))
+    sim.run(until_ps=20 * BATCH_NS * NS)
+    assert transport.grant_ticks == 1
+
+
+def test_negative_interval_rejected():
+    cfg = HomaConfig(grant_batch_ns=-1)
+    alloc = allocate_priorities(
+        WORKLOADS["W4"].cdf, cfg.resolved_unsched_limit(RTT), n_prios=8)
+    with pytest.raises(ValueError):
+        HomaTransport(Simulator(), cfg, alloc, RTT)
 
 
 def test_one_grant_per_active_message_ranked_by_remaining():
@@ -182,7 +225,7 @@ def test_count_mode_ranks_every_n_arrivals_and_on_critical_events():
                                 cfg.resolved_unsched_limit(RTT), n_prios=8)
     transport = HomaTransport(sim, cfg, alloc, RTT)
     transport.bind(FakeHost(sim, 0))
-    assert transport._grant_timer is None
+    assert transport._grant_interval_ps == 0
     assert transport.grant_window == RTT + 10 * MAX_PAYLOAD
 
     def arrive(src, rpc_id, index, total, grant_offset=None):

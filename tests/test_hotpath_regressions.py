@@ -197,7 +197,6 @@ def test_prop_intervals_oracle(chunks):
         ranges = iv._ranges
         for (s1, e1), (s2, e2) in zip(ranges, ranges[1:]):
             assert e1 < s2
-        assert iv._starts == [r[0] for r in ranges]
     # covers/first_gap/contiguous_prefix agree with the oracle.
     horizon = 1000
     gap = iv.first_gap(horizon)
@@ -255,17 +254,18 @@ def test_wheel_cancel_far_event():
     fired = []
     sim.schedule(3 << L1_SHIFT, fired.append, "keep")
     drop = sim.schedule(2 << L1_SHIFT, fired.append, "drop")
-    assert sim.pending_events() == 2
     Simulator.cancel(drop)
-    assert sim.pending_events() == 1
     sim.run()
     assert fired == ["keep"]
+    assert sim.events_processed == 1
 
 
-def test_wheel_peek_time_reaches_into_wheels():
+def test_wheel_far_event_fires_at_its_time():
     sim = Simulator()
-    sim.schedule(5 << L1_SHIFT, lambda: None)
-    assert sim.peek_time() == 5 << L1_SHIFT
+    stamps = []
+    sim.schedule(5 << L1_SHIFT, lambda: stamps.append(sim.now))
+    sim.run()
+    assert stamps == [5 << L1_SHIFT]
 
 
 def test_wheel_near_events_scheduled_during_run_precede_far():

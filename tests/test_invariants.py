@@ -244,3 +244,25 @@ def test_homa_w4_seed10_delivers_at_most_once():
         max_messages=1440, seed=10, homa=HomaConfig(grant_batch_ns=0)))
     assert result.duplicates == 0
     assert result.completed <= result.submitted
+
+
+@pytest.mark.slow
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: W4@0.8 on a clean 3x8 fabric at seed 5 completes "
+    "1801 of 1800 messages with no give-up, so it is not seed 10's "
+    "give-up-then-restart path.  Suspect: a RESEND-driven retransmission "
+    "arrives after completion and re-registers, because Homa keeps no "
+    "done-memory on clean fabrics.  Delete this mark with the fix."))
+def test_homa_w4_seed5_delivers_at_most_once():
+    """A 7 s clean-fabric duplicate with the default (timer) grant
+    pacer: 1,800 submitted, 17 RESENDs, 0 give-ups, 0 aborts.
+    Per-packet grants (``grant_batch_ns=0``) duplicate the same way."""
+    from repro.experiments.runner import ExperimentConfig, run_experiment
+
+    result = run_experiment(ExperimentConfig(
+        protocol="homa", workload="W4", load=0.8,
+        racks=3, hosts_per_rack=8, aggrs=2,
+        duration_ms=25, warmup_ms=0.5, drain_ms=40,
+        max_messages=1800, seed=5, homa=HomaConfig()))
+    assert result.duplicates == 0
+    assert result.completed <= result.submitted

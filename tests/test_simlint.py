@@ -446,15 +446,15 @@ def test_sched_arity_flags_self_method_mismatch():
     hits = rule_hits(
         """
         class Port:
-            def _tx_done(self, pkt):
+            def _tx_done(self):
                 pass
 
-            def start(self, duration):
-                self.sim.schedule0(duration, self._tx_done)
+            def start(self, duration, pkt):
+                self.sim.schedule1(duration, self._tx_done, pkt)
         """,
         "sched-arity",
     )
-    assert [f.detail for f in hits] == ["schedule0:_tx_done:expected=0"]
+    assert [f.detail for f in hits] == ["schedule1:_tx_done:expected=1"]
 
 
 def test_sched_arity_flags_variadic_undercount():
@@ -498,7 +498,7 @@ def test_sched_arity_passes_matching_and_flexible_signatures():
                 pass
 
             def arm(self, sim, key):
-                sim.schedule0(10, self._fire)
+                sim.schedule(10, self._fire)
                 sim.schedule1(10, self._fire1, key)
                 sim.schedule(10, self._fire1, key, 3)
                 sim.schedule_at(20, catchall, key, key, key)
