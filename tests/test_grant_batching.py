@@ -124,8 +124,7 @@ def test_burst_collapses_into_one_grant():
 
 def test_pacer_ticks_one_interval_after_the_first_arrival():
     """Arrivals inside one interval collapse into one tick, stamped one
-    interval after the first of them; the next arrival after a tick
-    starts a fresh interval, measured from that arrival."""
+    interval after the first of them."""
     sim, transport = make_batched_transport()
     interval = BATCH_NS * NS
     transport.on_packet(data_packet(1, 100, 0, MAX_PAYLOAD, 100_000))
@@ -136,6 +135,17 @@ def test_pacer_ticks_one_interval_after_the_first_arrival():
     sim.run(until_ps=interval)
     assert transport.grant_ticks == 1
     sim.run(until_ps=3 * interval)
+    assert transport.grant_ticks == 1
+
+
+def test_pacer_rearms_from_the_next_arrival_after_a_tick():
+    """The next arrival after a tick starts a fresh interval, measured
+    from that arrival rather than from the previous tick."""
+    sim, transport = make_batched_transport()
+    interval = BATCH_NS * NS
+    transport.on_packet(data_packet(1, 100, 0, MAX_PAYLOAD, 100_000))
+    sim.run(until_ps=3 * interval)
+    assert transport.grant_ticks == 1
     transport.on_packet(
         data_packet(1, 100, 2 * MAX_PAYLOAD, MAX_PAYLOAD, 100_000))
     sim.run(until_ps=4 * interval - 1)
