@@ -1,8 +1,10 @@
 """Exactness sweep: one source tree over two grids of cells.
 
-* The 180-cell recovery grid: the six baseline protocols x seeds 1-15
-  x per-tier loss 0.01 / 0.05, W3 at load 0.5 on the 16-host lossy,
-  faulted 3-level fabric of ``tests/test_recovery.py::lossy_3level_spec``.
+* The 240-cell recovery grid: all eight protocols (Homa, Basic and the
+  six baselines) x seeds 1-15 x per-tier loss 0.01 / 0.05, W3 at load
+  0.5 on the 16-host lossy, faulted 3-level fabric of
+  ``tests/test_recovery.py::lossy_3level_spec``.  The Homa and Basic
+  cells run the sender's RESEND, BUSY, ghost and restart paths.
 * The 54-cell Homa grant grid: W1 / W4 / W5 at load 0.9 on a clean
   4-host rack x overcommitment degree 1-3 x the three GRANT emitters
   (per-packet, timer, every 10 packets) x ``grant_oldest`` off / on.
@@ -30,7 +32,8 @@ import json
 import sys
 from pathlib import Path
 
-PROTOCOLS = ("pfabric", "phost", "pias", "ndp", "stream", "stream_mc")
+PROTOCOLS = ("homa", "basic", "pfabric", "phost", "pias", "ndp", "stream",
+             "stream_mc")
 LOSSES = (0.01, 0.05)
 SEEDS = range(1, 16)
 

@@ -3,7 +3,7 @@
 ``HOT_FUNCTIONS`` is a manifest of the functions that run per event /
 per packet in the canonical 144-host benches: the event loop and
 schedulers, port enqueue/dequeue, the fused switch ingress, the packet
-pool, the Homa grant path, the baseline senders' NIC pulls, the
+pool, the Homa grant path, the senders' NIC pulls, the
 baselines' shared receiver, and the per-message sample recording.  Inside those functions we flag constructs
 that allocate or pay per call:
 
@@ -74,7 +74,7 @@ HOT_FUNCTIONS: dict[str, frozenset[str]] = {
     ),
     "src/repro/homa/transport.py": frozenset(
         {
-            "HomaTransport.next_packet",
+            "HomaTransport._next_data",
             "HomaTransport._make_data_packet",
             "HomaTransport._on_data",
             "HomaTransport._schedule_grants",

@@ -611,6 +611,11 @@ class TopologySpec:
         if self.levels not in (2, 3):
             raise ValueError(
                 f"TopologySpec.levels must be 2 or 3, got {self.levels!r}")
+        # Before the cores check, which divides by aggrs.
+        if self.aggrs < 1 and (self.levels == 3 or self.racks > 1):
+            raise ValueError(
+                f"TopologySpec.aggrs must be >= 1 on a multi-rack fabric, "
+                f"got {self.aggrs!r}")
         if self.levels == 2:
             if self.pods != 1:
                 raise ValueError(
@@ -636,10 +641,6 @@ class TopologySpec:
             raise ValueError(
                 f"TopologySpec.hosts_per_rack must be >= 1, "
                 f"got {self.hosts_per_rack!r}")
-        if self.aggrs < 1 and (self.levels == 3 or self.racks > 1):
-            raise ValueError(
-                f"TopologySpec.aggrs must be >= 1 on a multi-rack fabric, "
-                f"got {self.aggrs!r}")
         if self.host_gbps < 1:
             raise ValueError(
                 f"TopologySpec.host_gbps must be >= 1, "

@@ -34,8 +34,6 @@ class HomaConfig:
     #: bytes a sender may transmit blindly; None = RTTbytes rounded up
     #: to whole data packets (paper: ~10 KB at 10 Gbps)
     unsched_limit: int | None = None
-    #: RTTbytes used for grant pacing; None = derive from the topology
-    rtt_bytes: int | None = None
     #: force a number of unscheduled priority levels (Figure 17)
     n_unsched_override: int | None = None
     #: force a number of scheduled priority levels (Figures 16/19)

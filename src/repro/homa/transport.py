@@ -26,7 +26,7 @@ One ``HomaTransport`` instance runs on each host and plays both roles:
 
 from __future__ import annotations
 
-from heapq import heappop, heappush, heapreplace, nsmallest
+from heapq import nsmallest
 from typing import Callable, Optional
 
 from repro.core.engine import Simulator
@@ -98,7 +98,7 @@ def _rank_key(m) -> tuple:
     return (-m.bytes_remaining, -m.first_arrival_ps, m.sort_seq)
 
 
-class HomaTransport(Transport):  # simlint: ok(registry-hooks) — next_packet is overridden, so Transport._next_data is never called
+class HomaTransport(Transport):
     """Full Homa protocol implementation."""
 
     protocol_name = "homa"
@@ -121,7 +121,7 @@ class HomaTransport(Transport):  # simlint: ok(registry-hooks) — next_packet i
         # fallback for directly constructed transports in tests.
         self.pool = pool if pool is not None else PacketPool(cfg.pool_prealloc)
         self.alloc = allocation
-        self.rtt_bytes = cfg.rtt_bytes or rtt_bytes
+        self.rtt_bytes = rtt_bytes
         self.unsched_limit = cfg.resolved_unsched_limit(self.rtt_bytes)
         # Bytes kept granted-but-not-received per active message.  Legacy
         # per-packet mode: exactly RTTbytes (the paper's simulator).  In
@@ -141,20 +141,12 @@ class HomaTransport(Transport):  # simlint: ok(registry-hooks) — next_packet i
         self.grant_window = self.rtt_bytes + batch_slack
         self.client_rpcs: dict[int, ClientRpc] = {}
         self.server_rpcs: dict[int, ServerRpc] = {}
-        # Sender SRPT index, a lazy-deletion heap (see
-        # docs/PERFORMANCE.md for the staleness invariant): every
-        # sendable outbound message has a live entry
-        # [remaining, created_ps, sort_seq, msg]; an entry is stale when
-        # the message left ``outbound``, stopped being sendable, or its
-        # remaining-bytes key changed (a fresh entry is pushed whenever
-        # any of those change back).
-        self._send_heap: list[list] = []
         # Receiver: exactly the inbound messages still holding or
         # awaiting an overcommitment slot (granted < length under
         # per-packet pacing); the ranking pass reads it directly.
         self._grantable: dict[int, InboundMessage] = {}
-        # Tie-break counter reproducing the dict-insertion order the
-        # pre-index linear scans used to resolve equal SRPT keys.
+        # Registration counter: the last SRPT tie-break on both sides
+        # (``sort_seq`` of outbound and inbound messages).
         self._sort_seq = 0
         # Set when the grantable membership or the allocation changed:
         # count-based coalescing ranks at once instead of waiting for
@@ -182,12 +174,9 @@ class HomaTransport(Transport):  # simlint: ok(registry-hooks) — next_packet i
         self.withheld_observer: Optional[Callable[[int, bool], None]] = None
         self._withheld = False
         self._timer_event = None
-        # Cached views of the allocation, refreshed only when it
-        # changes: the overcommitment degree and the rank -> scheduled
-        # priority table (both are read per data packet; the properties
-        # behind them cost a len()/min() chain each).
+        # The overcommitment degree, refreshed only when the allocation
+        # changes (read per data packet).
         self._degree = 0
-        self._sched_tab: tuple[int, ...] = (0,)
         self._refresh_alloc_cache()
         # Online priority estimation (section 3.4 dissemination).
         self.estimator = OnlineEstimator() if cfg.online_priorities else None
@@ -270,46 +259,30 @@ class HomaTransport(Transport):  # simlint: ok(registry-hooks) — next_packet i
     # sender: SRPT packet selection (3.2)
     # ------------------------------------------------------------------
 
-    def next_packet(self) -> Optional[Packet]:
-        # Transport.next_packet with the ctrl check and the SRPT pull
-        # inlined: this is the NIC's per-pull entry point.
-        ctrl = self.ctrl
-        if ctrl:
-            return ctrl.popleft()
-        heap = self._send_heap
-        outbound = self.outbound
-        while heap:
-            entry = heap[0]
-            msg = entry[3]
-            if (outbound.get(msg.key) is not msg
-                    or entry[0] != msg.length - msg.sent
-                    or not (msg.sent < msg.granted or msg.rtx)):
-                heappop(heap)  # stale: a fresher entry supersedes it
-                continue
-            offset, size, is_rtx = msg.next_chunk()
-            if msg.fully_sent():
-                heappop(heap)
-                self._outbound_finished(msg)
-            elif msg.sent < msg.granted or msg.rtx:
-                heapreplace(heap, [msg.length - msg.sent, msg.created_ps,
-                                   msg.sort_seq, msg])
-            else:
-                heappop(heap)
-            return self._make_data_packet(msg, offset, size, is_rtx)
-        return None
+    def _next_data(self) -> Optional[Packet]:
+        """One SRPT pass: the sendable message with the fewest bytes
+        left to send, then the oldest, then the first registered."""
+        best = None
+        best_key = None
+        for msg in self.outbound.values():
+            if msg.sent < msg.granted or msg.rtx:
+                key = (msg.length - msg.sent, msg.created_ps, msg.sort_seq)
+                if best_key is None or key < best_key:
+                    best, best_key = msg, key
+        if best is None:
+            return None
+        offset, size, is_rtx = best.next_chunk()
+        if best.fully_sent():
+            self._outbound_finished(best)
+        return self._make_data_packet(best, offset, size, is_rtx)
 
     def _index_outbound(self, msg: OutboundMessage) -> None:
-        """(Re)register a message with the sender's SRPT index."""
+        """(Re)register a message with the sender; a message new to
+        ``outbound`` takes the next ``sort_seq``."""
         if self.outbound.get(msg.key) is not msg:
             self._sort_seq += 1
             msg.sort_seq = self._sort_seq
             self.outbound[msg.key] = msg
-        self._push_sendable(msg)
-
-    def _push_sendable(self, msg: OutboundMessage) -> None:
-        if msg.sendable():
-            heappush(self._send_heap,
-                     [msg.remaining, msg.created_ps, msg.sort_seq, msg])
 
     def _make_data_packet(self, msg: OutboundMessage, offset: int, size: int,
                           is_rtx: bool) -> Packet:
@@ -475,17 +448,13 @@ class HomaTransport(Transport):  # simlint: ok(registry-hooks) — next_packet i
         self._schedule_grants()
 
     def _refresh_alloc_cache(self) -> None:
-        """Recompute the degree/priority-table caches from ``alloc``."""
+        """Recompute the overcommitment degree from ``alloc``."""
         if self.cfg.unlimited_overcommit:
             self._degree = 1 << 30
         elif self.cfg.overcommit_override is not None:
             self._degree = self.cfg.overcommit_override
         else:
             self._degree = self.alloc.n_sched
-        # sched_prio saturates at the highest scheduled level, so a
-        # table of length n_sched plus saturating lookup reproduces it.
-        self._sched_tab = tuple(self.alloc.sched_prio(r)
-                                for r in range(self.alloc.n_sched))
 
     def _schedule_grants(self) -> None:
         """The ranking pass: grant to the top-K shortest grantable
@@ -521,7 +490,9 @@ class HomaTransport(Transport):  # simlint: ok(registry-hooks) — next_packet i
         else:
             ordered = sorted(active, key=_rank_key)
         cutoffs = None if self.estimator is None else self._cutoffs_to_advertise()
-        tab = self._sched_tab
+        # PriorityAllocation.sched_prio, inlined: ranks beyond the
+        # scheduled levels share the highest one.
+        tab = self.alloc.sched_levels
         ntab = len(tab)
         for rank, msg in enumerate(ordered):
             prio = tab[rank] if rank < ntab else tab[ntab - 1]
@@ -574,10 +545,7 @@ class HomaTransport(Transport):  # simlint: ok(registry-hooks) — next_packet i
         msg = self.outbound.get(pkt.msg_key)
         if msg is None:
             return  # grant raced with completion
-        # grant_to + sendable-transition tracking, inlined (per-grant
-        # path).  Grants never change ``remaining``, so an already
-        # sendable message keeps its live index entry.
-        was_sendable = msg.sent < msg.granted or msg.rtx
+        # grant_to, inlined (per-grant path).
         offset = pkt.grant_offset
         if offset > msg.granted:
             msg.granted = offset if offset < msg.length else msg.length
@@ -590,9 +558,6 @@ class HomaTransport(Transport):  # simlint: ok(registry-hooks) — next_packet i
             if rpc is not None:
                 rpc.last_activity_ps = self.sim.now
                 rpc.resends = 0
-        if not was_sendable and msg.sent < msg.granted:
-            heappush(self._send_heap, [msg.length - msg.sent,
-                                       msg.created_ps, msg.sort_seq, msg])
         egress = self._egress  # kick, inlined (per-grant path)
         if not egress.busy:
             egress._next()
@@ -708,31 +673,11 @@ class HomaTransport(Transport):  # simlint: ok(registry-hooks) — next_packet i
 
     def _sender_is_busy(self, msg: OutboundMessage) -> bool:
         """True if a strictly shorter message is ready to transmit
-        (RESEND answered with BUSY to prevent timeouts, Figure 3).
-
-        O(1) amortized: the send heap's live head *is* the shortest
-        sendable message; entries for ``msg`` itself are set aside and
-        restored so the comparison only ever sees other messages.
-        """
-        heap = self._send_heap
-        outbound = self.outbound
-        own = []
-        busy = False
-        while heap:
-            entry = heap[0]
-            other = entry[3]
-            if (outbound.get(other.key) is not other
-                    or entry[0] != other.remaining or not other.sendable()):
-                heappop(heap)
-                continue
-            if other is msg:
-                own.append(heappop(heap))
-                continue
-            busy = entry[0] < msg.remaining
-            break
-        for entry in own:
-            heappush(heap, entry)
-        return busy
+        (RESEND answered with BUSY to prevent timeouts, Figure 3)."""
+        remaining = msg.remaining
+        return any(other is not msg and other.sendable()
+                   and other.remaining < remaining
+                   for other in self.outbound.values())
 
     def _send_busy(self, resend: Packet) -> None:
         self.busys_sent += 1

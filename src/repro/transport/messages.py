@@ -159,9 +159,9 @@ class OutboundMessage:
         # Used by the window-based baselines (pFabric / NDP / stream):
         self.acked = Intervals()
         self.in_flight = 0
-        # Deterministic tie-break for indexed SRPT schedulers: assigned
-        # by the transport in registration order (= dict insertion order
-        # of the pre-index linear scans it replaces).
+        # Last tie-break of Homa's SRPT orders (the sender's pull, the
+        # receiver's ranking): assigned by the transport in registration
+        # order, which makes each of those keys a total order.
         self.sort_seq = 0
         # Message identity, precomputed: this is the hash key for every
         # transport-side dict and index validation on the packet path.

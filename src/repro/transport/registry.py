@@ -94,7 +94,7 @@ def transport_factory(
     if protocol in ("homa", "basic"):
         cfg = homa_cfg or (HomaConfig.basic() if protocol == "basic"
                            else HomaConfig())
-        unsched = cfg.resolved_unsched_limit(cfg.rtt_bytes or rtt_bytes)
+        unsched = cfg.resolved_unsched_limit(rtt_bytes)
         alloc = allocate_priorities(
             cdf, unsched,
             n_prios=cfg.n_prios,

@@ -158,6 +158,26 @@ def test_sender_srpt_order():
     assert pkt.dst == 3  # fewest remaining bytes first
 
 
+def test_sender_breaks_srpt_ties_in_registration_order():
+    sim, transport = make_transport()
+    first = transport.send_rpc(2, 2 * MAX_PAYLOAD)
+    second = transport.send_rpc(3, 2 * MAX_PAYLOAD)
+    # Same length, same instant: the first registered goes first (and,
+    # with one packet left, stays shorter).
+    assert [transport.next_packet().dst for _ in range(4)] == [2, 2, 3, 3]
+    assert transport.next_packet() is None and not transport.outbound
+    # Both requests are fully sent and forgotten by ``outbound``.  A
+    # RESEND re-registers one with a fresh tie-break, so the request
+    # re-registered second goes behind its equal-key peer.
+    for rpc_id, src in ((second, 3), (first, 2)):
+        transport.on_packet(Packet(src, 0, PacketType.RESEND, rpc_id=rpc_id,
+                                   is_request=True, offset=0,
+                                   range_end=MAX_PAYLOAD,
+                                   grant_offset=2 * MAX_PAYLOAD))
+    assert [transport.next_packet().dst for _ in range(2)] == [3, 2]
+    assert transport.next_packet() is None
+
+
 def test_sender_respects_grant_boundary():
     sim, transport = make_transport()
     msg = transport.send_message(2, 100_000)

@@ -297,8 +297,8 @@ def test_wheel_run_until_between_buckets():
 # ---------------------------------------------------------------------------
 
 
-def test_sender_srpt_order_served_from_heap():
-    """The send index must serve strictly by (remaining, created)."""
+def test_sender_serves_srpt_order():
+    """The sender must serve strictly by (remaining, created)."""
     sim, net, transports = homa_cluster()
     sender = transports[0]
     sender.send_message(1, 8 * MAX_PAYLOAD)

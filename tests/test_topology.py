@@ -276,6 +276,7 @@ _BASE3 = dict(levels=3, pods=2, racks=2, hosts_per_rack=2, aggrs=2,
     ({"switch_delay_ns": -1}, "switch_delay_ns"),
     ({"software_delay_ns": -5}, "software_delay_ns"),
     ({"loss": 0.1}, "loss"),
+    ({**_BASE3, "aggrs": 0}, "aggrs"),          # before the cores check
 ])
 def test_malformed_spec_names_the_field(kwargs, field):
     with pytest.raises(ValueError, match=rf"TopologySpec\.{field}"):
