@@ -14,9 +14,9 @@ layer is free when unused:
 * ``faulty-3level`` — the same fabric plus a link-down / switch-down /
   link-restore schedule firing mid-generation.
 
-On top of that, a recovery grid runs **every loss-validated protocol**
-(``registry.LOSS_VALIDATED`` — the full registry) through two loss
-rates and one mid-run link-outage schedule on the 2-level shape:
+On top of that, a recovery grid runs **every registered protocol**
+(``registry.PROTOCOLS``) through two loss rates and one mid-run
+link-outage schedule on the 2-level shape:
 ``<proto>-loss-lo``, ``<proto>-loss-hi``, and ``<proto>-faulty``.
 
 ``--smoke`` asserts the battery's contract: digest identity for the
@@ -35,7 +35,7 @@ from repro.experiments import campaign
 from repro.experiments.campaign import slowdown_digest
 from repro.experiments.runner import ExperimentConfig
 from repro.experiments.scale import campaign_kwargs, current_scale
-from repro.transport.registry import LOSS_VALIDATED
+from repro.transport.registry import PROTOCOLS
 
 from _shared import run_once, save_result
 
@@ -105,7 +105,7 @@ def campaign_spec() -> campaign.CampaignSpec:
                                 **shape3),
             **base),
     }
-    # Recovery grid: every validated protocol x {loss-lo, loss-hi,
+    # Recovery grid: every registered protocol x {loss-lo, loss-hi,
     # faulty}.  The outage downs one rack-0 uplink mid-generation and
     # restores it, so backed-off retries must span the hole.
     shape2 = dict(levels=2, racks=spec2.racks,
@@ -114,7 +114,7 @@ def campaign_spec() -> campaign.CampaignSpec:
               FaultEvent(0.80 * window_ms, "link", "up", "tor0:aggr0.0"))
     proto_base = dict(base)
     del proto_base["protocol"]
-    for proto in LOSS_VALIDATED:
+    for proto in PROTOCOLS:
         for tag, rates in (("loss-lo", LOSS_LO), ("loss-hi", LOSS_HI)):
             cfgs[f"{proto}-{tag}"] = ExperimentConfig(
                 protocol=proto,
@@ -123,7 +123,6 @@ def campaign_spec() -> campaign.CampaignSpec:
             protocol=proto,
             fabric=TopologySpec(loss=LOSS_LO, faults=outage, **shape2),
             **proto_base)
-    assert "homa" in LOSS_VALIDATED  # the grid's protocol must be gated in
     assert spec3.aggr_oversubscription > 0  # genuinely oversubscribed core
     return campaign.experiment_grid("fabric", cfgs)
 
@@ -186,10 +185,10 @@ def check(results) -> None:
     faulty = results["faulty-3level"]
     assert faulty.fabric.faults_applied == 3
     assert faulty.fabric.reroutes > 0
-    # Recovery grid: every validated protocol survives both loss rates
+    # Recovery grid: every protocol survives both loss rates
     # and the outage — drops everywhere, and retransmission genuinely
     # recovers data (not merely fires) somewhere in its cells.
-    for proto in LOSS_VALIDATED:
+    for proto in PROTOCOLS:
         cells = {tag: results[f"{proto}-{tag}"]
                  for tag in ("loss-lo", "loss-hi", "faulty")}
         for tag, result in cells.items():

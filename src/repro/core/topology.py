@@ -1,21 +1,26 @@
 """The topology builder and path-time oracles.
 
-``NetworkConfig`` defaults reproduce Figure 11: 144 hosts in 9 racks of
-16, four 40 Gbps aggregation switches, 10 Gbps host links, 250 ns switch
-delay, 1.5 us host software delay, per-packet spraying across uplinks.
-Setting ``racks=1`` builds a single-switch cluster like the 16-node
-CloudLab testbed of section 5.1.
+A :class:`TopologySpec` describes a fabric: shape, link speeds, switch
+and software delay, loss and faults.  Its defaults are 10 Gbps host
+links, 40 Gbps aggregation links, 250 ns switch delay and 1.5 us host
+software delay, as in Figure 11.  ``NetworkConfig`` holds the port
+discipline (queue mode, buffers, ECN, trimming, preemption, seed) plus
+a 2-level shorthand whose defaults are Figure 11's shape: 144 hosts in
+9 racks of 16 under four aggregation switches, per-packet spraying
+across uplinks.  ``racks=1`` builds a single-switch cluster like the
+16-node CloudLab testbed of section 5.1.
 
-The oracle methods (``min_oneway_ps``/``min_rpc_ps``) compute the best
-possible delivery time of a message on an unloaded network, which is the
-denominator of every slowdown number in the paper.
+The oracle methods (``min_oneway_between``/``min_rpc_between``) compute
+the best possible delivery time of a message between two hosts on an
+unloaded network, which is the denominator of every slowdown number in
+the paper.
 """
 
 from __future__ import annotations
 
 import random
 from heapq import heappush
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.core.engine import Simulator
@@ -34,15 +39,12 @@ QUEUE_MODES = ("priority", "pfabric")
 
 @dataclass
 class NetworkConfig:
-    """Physical network parameters (defaults: the paper's Figure 11)."""
+    """Port discipline, plus the 2-level shape :func:`build_network`
+    turns into a :class:`TopologySpec` (defaults: Figure 11)."""
 
     racks: int = 9
     hosts_per_rack: int = 16
     aggrs: int = 4
-    host_gbps: int = 10
-    aggr_gbps: int = 40
-    switch_delay_ns: int = 250
-    software_delay_ns: int = 1500
     queue_mode: str = "priority"
     port_buffer_bytes: int | None = None       # None = unbounded
     pfabric_buffer_bytes: int = 24 * FULL_WIRE  # ~2 BDP, as in pFabric
@@ -51,32 +53,13 @@ class NetworkConfig:
     preemptive_links: bool = False              # Fig 14 hardware ablation
     seed: int = 1
 
-    @property
-    def n_hosts(self) -> int:
-        return self.racks * self.hosts_per_rack
-
-    @property
-    def switch_delay_ps(self) -> int:
-        return self.switch_delay_ns * NS
-
-    @property
-    def software_delay_ps(self) -> int:
-        return self.software_delay_ns * NS
-
-    def scaled(self, **overrides) -> "NetworkConfig":
-        """Copy with overrides (used by quick-mode benchmarks)."""
-        return replace(self, **overrides)
-
 
 class Network:
     """A built network: hosts, 1-3 switch levels, ports, timing oracles.
 
-    ``cfg`` describes the tree up to the aggregation layer (``racks``
-    and ``aggrs`` are totals); ``pods`` splits it into pods of
-    ``racks // pods`` racks and ``aggrs // pods`` aggregation switches,
-    and ``cores`` adds a core layer on ``core_gbps`` links: core ``c``
-    connects to aggregation position ``c // (cores // aggrs_per_pod)``
-    in every pod.  One rack builds a single switch; no cores, the
+    ``spec`` gives the shape, link speeds and delays (see
+    :class:`TopologySpec`); ``cfg`` gives only the port discipline and
+    the spray seed.  One rack builds a single switch; no cores, the
     paper's 2-level tree.
 
     Every switch routes through the same liveness-aware ingress closure
@@ -86,22 +69,13 @@ class Network:
     tables are full and never change.
     """
 
-    def __init__(self, sim: Simulator, cfg: NetworkConfig, *, pods: int = 1,
-                 cores: int = 0, core_gbps: int = 100) -> None:
+    def __init__(self, sim: Simulator, spec: TopologySpec,
+                 cfg: NetworkConfig) -> None:
         if cfg.queue_mode not in QUEUE_MODES:
             raise ValueError(f"unknown queue mode {cfg.queue_mode!r}")
-        if cfg.racks < 1 or cfg.hosts_per_rack < 1:
-            raise ValueError("need at least one rack with one host")
-        if cfg.racks > 1 and cfg.aggrs < 1:
-            raise ValueError("multi-rack topologies need aggregation switches")
-        if pods < 1 or cfg.racks % pods or (cfg.racks > 1
-                                            and cfg.aggrs % pods):
-            raise ValueError("racks and aggrs must split evenly into pods")
-        if cores and (cfg.racks == 1 or cores % (cfg.aggrs // pods)):
-            raise ValueError("cores must be a multiple of the aggrs per pod")
         self.sim = sim
+        self.spec = spec
         self.cfg = cfg
-        self.core_gbps = core_gbps
         self.hosts: list[Host] = []
         self.tors: list[Switch] = []
         self.aggrs: list[Switch] = []
@@ -116,7 +90,7 @@ class Network:
         self.fault_injector: FaultInjector | None = None
         #: time of the next scheduled fault (kept by FaultInjector)
         self.next_fault_ps = NO_FAULT_PS
-        self._pod_hosts = cfg.racks // pods * cfg.hosts_per_rack
+        self._pod_hosts = spec.racks * spec.hosts_per_rack
         self._spray = random.Random(cfg.seed * 7919 + 13)
         self._oneway_cache: dict[tuple[int, int], int] = {}
         self._switch_by_name: dict[str, Switch] = {}
@@ -124,7 +98,7 @@ class Network:
         #: link key -> (lower switch, upper switch, up port, down port,
         #: the hosts below the lower switch)
         self._links: dict[str, tuple] = {}
-        self._build(pods, cores)
+        self._build()
 
     # ------------------------------------------------------------------
     # construction
@@ -145,36 +119,37 @@ class Network:
             preemptive=cfg.preemptive_links,
         )
 
-    def _build(self, pods: int, n_cores: int) -> None:
-        cfg = self.cfg
+    def _build(self) -> None:
+        spec = self.spec
         sim = self.sim
-        H = cfg.hosts_per_rack
-        R = cfg.racks // pods                          # racks per pod
-        A = cfg.aggrs // pods if cfg.racks > 1 else 0  # aggrs per pod
-        K = n_cores // A if n_cores else 0             # core links per aggr
+        H = spec.hosts_per_rack
+        R = spec.racks                                     # racks per pod
+        A = spec.aggrs if spec.racks_total > 1 else 0      # aggrs per pod
+        K = spec.core_links_per_aggr
 
-        for hid in range(cfg.n_hosts):
-            self.hosts.append(Host(sim, hid, hid // H, cfg.software_delay_ps))
+        software_delay_ps = spec.software_delay_ns * NS
+        for hid in range(spec.n_hosts):
+            self.hosts.append(Host(sim, hid, hid // H, software_delay_ps))
         # Switches before ports, each with its ingress closure: the
         # closures capture the (still empty) forwarding tables, and the
         # ports created below deliver into them.
-        for g in range(cfg.racks):
+        for g in range(spec.racks_total):
             self._add_switch(self.tors, f"tor{g}", "tor")
-        for p in range(pods):
+        for p in range(spec.pods):
             for a in range(A):
                 self._add_switch(self.aggrs, f"aggr{p}.{a}", "aggr")
-        for c in range(n_cores):
+        for c in range(spec.cores):
             self._add_switch(self.cores, f"core{c}", "core")
 
         # Host access links: pull-model uplinks and TOR downlinks.
         for host in self.hosts:
             tor = self.tors[host.rack]
-            up = PullPort(sim, f"h{host.hid}->{tor.name}", cfg.host_gbps,
+            up = PullPort(sim, f"h{host.hid}->{tor.name}", spec.host_gbps,
                           tor.ingress, "host_up")
             host.egress = up
             self.host_up_ports.append(up)
             down = self._make_switch_port(
-                f"{tor.name}->h{host.hid}", cfg.host_gbps,
+                f"{tor.name}->h{host.hid}", spec.host_gbps,
                 host.ingress, "tor_down")
             self.tor_down_ports.append(down)
             tor.ports.append(down)
@@ -185,19 +160,19 @@ class Network:
         # switch's ports are all downlinks until its own uplinks go in.
         for g, tor in enumerate(self.tors):
             for aggr in self.aggrs[g // R * A:(g // R + 1) * A]:
-                self._wire(tor, aggr, cfg.aggr_gbps,
+                self._wire(tor, aggr, spec.aggr_gbps,
                            "tor_up", self.tor_up_ports, "aggr_down")
         for j, aggr in enumerate(self.aggrs):
             self.aggr_down_ports.extend(aggr.ports)
             for core in self.cores[j % A * K:(j % A + 1) * K]:
-                self._wire(aggr, core, self.core_gbps,
+                self._wire(aggr, core, spec.core_gbps,
                            "aggr_up", self.aggr_up_ports, "core_down")
         for core in self.cores:
             self.core_down_ports.extend(core.ports)
 
     def _add_switch(self, layer: list, name: str, level: str) -> None:
-        switch = Switch(name, self.cfg.switch_delay_ps, level,
-                        self.cfg.n_hosts)
+        spec = self.spec
+        switch = Switch(name, spec.switch_delay_ns * NS, level, spec.n_hosts)
         switch.ingress = self._make_ingress(switch)
         layer.append(switch)
         self._switch_by_name[name] = switch
@@ -384,18 +359,6 @@ class Network:
     # convenience accessors
     # ------------------------------------------------------------------
 
-    def rack_of(self, hid: int) -> int:
-        return hid // self.cfg.hosts_per_rack
-
-    def same_rack(self, a: int, b: int) -> bool:
-        return self.rack_of(a) == self.rack_of(b)
-
-    def pod_of(self, hid: int) -> int:
-        return hid // self._pod_hosts
-
-    def same_pod(self, a: int, b: int) -> bool:
-        return self.pod_of(a) == self.pod_of(b)
-
     def all_switch_ports(self) -> Iterable[BasePort]:
         yield from self.tor_down_ports
         yield from self.tor_up_ports
@@ -443,37 +406,32 @@ class Network:
     # picoseconds per byte on top of the two host links.
 
     def _mid_ppb(self, tier: int) -> int:
-        mid = 2 * ps_per_byte(self.cfg.aggr_gbps)
-        return mid + 2 * ps_per_byte(self.core_gbps) if tier == 2 else mid
+        if tier == 0:
+            return 0
+        spec = self.spec
+        mid = 2 * ps_per_byte(spec.aggr_gbps)
+        return mid + 2 * ps_per_byte(spec.core_gbps) if tier == 2 else mid
 
-    def rtt_ps(self, same_rack: bool = False) -> int:
-        """Grant-to-data round trip: small control packet one way, a
-        full-size data packet back, with software delay at both ends."""
-        ctrl = self._packet_transit_ps(MIN_WIRE, same_rack)
-        data = self._packet_transit_ps(FULL_WIRE, same_rack)
-        return ctrl + data + 2 * self.cfg.software_delay_ps
+    def rtt_ps(self) -> int:
+        """Grant-to-data round trip on the fabric's longest path: small
+        control packet one way, a full-size data packet back, with
+        software delay at both ends."""
+        ctrl = self._packet_transit_ps(MIN_WIRE)
+        data = self._packet_transit_ps(FULL_WIRE)
+        return ctrl + data + 2 * self.spec.software_delay_ns * NS
 
-    def rtt_bytes(self, same_rack: bool = False) -> int:
+    def rtt_bytes(self) -> int:
         """Bytes a 10 Gbps sender can push during one RTT (paper: ~9.7 KB)."""
-        return self.rtt_ps(same_rack) // ps_per_byte(self.cfg.host_gbps)
+        return self.rtt_ps() // ps_per_byte(self.spec.host_gbps)
 
-    def _packet_transit_ps(self, wire: int, same_rack: bool) -> int:
-        """End-to-end time of one packet on an idle path (no software);
-        cross-rack means the fabric's worst tier."""
-        cfg = self.cfg
-        host = 2 * wire * ps_per_byte(cfg.host_gbps)
-        if same_rack or cfg.racks == 1:
-            return host + cfg.switch_delay_ps
-        tier = 2 if self.cores else 1
-        return (host + (2 * tier + 1) * cfg.switch_delay_ps
+    def _packet_transit_ps(self, wire: int) -> int:
+        """End-to-end time of one packet on the fabric's longest idle
+        path (no software)."""
+        spec = self.spec
+        tier = spec.levels - 1 if spec.racks_total > 1 else 0
+        return (2 * wire * ps_per_byte(spec.host_gbps)
+                + (2 * tier + 1) * spec.switch_delay_ns * NS
                 + wire * self._mid_ppb(tier))
-
-    def min_oneway_ps(self, length: int, same_rack: bool = False) -> int:
-        """Best possible one-way message time on an unloaded network,
-        same rack or cross rack within a pod (:meth:`_min_oneway_tier_ps`
-        has the cross-pod tier; :meth:`min_oneway_between` picks)."""
-        return self._min_oneway_tier_ps(
-            length, 0 if same_rack or self.cfg.racks == 1 else 1)
 
     def _min_oneway_tier_ps(self, length: int, tier: int) -> int:
         """Best possible one-way message time on an unloaded path.
@@ -498,9 +456,9 @@ class Network:
         cached = self._oneway_cache.get(key)
         if cached is not None:
             return cached
-        cfg = self.cfg
-        ppb_h = ps_per_byte(cfg.host_gbps)
-        sw = cfg.switch_delay_ps
+        spec = self.spec
+        ppb_h = ps_per_byte(spec.host_gbps)
+        sw = spec.switch_delay_ns * NS
 
         # The packet list is `full` identical FULL_WIRE frames plus an
         # optional smaller trailer, so both bounds below close-form over
@@ -531,21 +489,17 @@ class Network:
             if rest:
                 cum += rest_wire * ppb_h
                 result = max(result, cum + transit + rest_wire * per_byte)
-        result += cfg.software_delay_ps
+        result += spec.software_delay_ns * NS
         self._oneway_cache[key] = result
         return result
 
-    def min_rpc_ps(self, request: int, response: int, same_rack: bool = False) -> int:
-        """Best possible echo-RPC round trip (client send -> response done)."""
-        return (self.min_oneway_ps(request, same_rack)
-                + self.min_oneway_ps(response, same_rack))
-
-    # Endpoint-addressed oracle forms: the metrics layer asks about a
-    # concrete (src, dst) pair and the network decides which path tier
-    # applies.
+    # The oracle is addressed by endpoints: callers name a concrete
+    # (src, dst) pair and the network decides which path tier applies.
 
     def min_oneway_between(self, src: int, dst: int, length: int) -> int:
-        hosts = self.cfg.hosts_per_rack
+        """Best possible one-way time of a ``length``-byte message from
+        ``src`` to ``dst`` on an unloaded network."""
+        hosts = self.spec.hosts_per_rack
         if src // hosts == dst // hosts:
             tier = 0
         elif not self.cores or src // self._pod_hosts == dst // self._pod_hosts:
@@ -556,13 +510,22 @@ class Network:
 
     def min_rpc_between(self, src: int, dst: int,
                         request: int, response: int) -> int:
+        """Best possible echo-RPC round trip (client send -> response
+        done)."""
         return (self.min_oneway_between(src, dst, request)
                 + self.min_oneway_between(dst, src, response))
 
 
 def build_network(sim: Simulator, cfg: NetworkConfig | None = None) -> Network:
-    """Construct a network; default configuration is the paper's Fig 11."""
-    return Network(sim, cfg or NetworkConfig())
+    """Construct the 2-level network ``cfg``'s shape fields describe, at
+    :class:`TopologySpec`'s default speeds and delays; the default
+    configuration is the paper's Fig 11.  A single rack has no
+    aggregation switches."""
+    cfg = cfg or NetworkConfig()
+    spec = TopologySpec(levels=2, racks=cfg.racks,
+                        hosts_per_rack=cfg.hosts_per_rack,
+                        aggrs=cfg.aggrs if cfg.racks > 1 else 0)
+    return Network(sim, spec, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -587,10 +550,11 @@ class TopologySpec:
     pick ``hosts_per_rack``/``aggrs``/``cores`` and link speeds to hit a
     target ratio.
 
-    A spec with ``loss`` all zero and no ``faults`` is *clean*: it
-    builds the very network an equivalent :class:`NetworkConfig` does,
-    with byte-identical digests (pinned by the golden test in
-    ``tests/test_faults.py``).
+    Every :class:`Network` is built from a spec (:func:`build_network`
+    writes one for a :class:`NetworkConfig`'s 2-level shape), and the
+    spec is the only place a shape is validated.  A spec with ``loss``
+    all zero and no ``faults`` is *clean*: nothing on it destroys
+    packets.
     """
 
     levels: int = 2
@@ -736,23 +700,14 @@ class TopologySpec:
 
 def build_fabric(sim: Simulator, spec: TopologySpec, *, seed: int = 1,
                  overrides: dict | None = None) -> Network:
-    """Build the network a :class:`TopologySpec` describes: the spec's
-    shape and speeds as a :class:`NetworkConfig` plus the pod/core
-    numbers, then its loss filters (they run before the spray draw, so
-    a zero-rate spec stays untouched), then its armed fault schedule.
+    """Build the network a :class:`TopologySpec` describes, then install
+    its loss filters (they run before the spray draw, so a zero-rate
+    spec stays untouched), then arm its fault schedule.
 
     ``overrides`` are protocol NetworkConfig overrides (queue mode, ECN,
     trimming...) from ``transport.registry.network_overrides``.
     """
-    cfg = NetworkConfig(
-        racks=spec.racks_total, hosts_per_rack=spec.hosts_per_rack,
-        aggrs=spec.pods * spec.aggrs if spec.racks_total > 1 else 0,
-        host_gbps=spec.host_gbps, aggr_gbps=spec.aggr_gbps,
-        switch_delay_ns=spec.switch_delay_ns,
-        software_delay_ns=spec.software_delay_ns,
-        seed=seed, **(overrides or {}))
-    net = Network(sim, cfg, pods=spec.pods, cores=spec.cores,
-                  core_gbps=spec.core_gbps)
+    net = Network(sim, spec, NetworkConfig(seed=seed, **(overrides or {})))
     install_loss(net, spec.loss, seed)
     if spec.faults:
         net.fault_injector = FaultInjector(sim, net, spec.faults)

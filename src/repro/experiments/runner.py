@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import gc
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 from repro.apps.echo import attach_echo_workload
 from repro.apps.openloop import attach_openloop_workload
@@ -32,10 +32,8 @@ from repro.metrics.priousage import PriorityUsage
 from repro.metrics.queues import QueueLevelStats, QueueStats
 from repro.metrics.slowdown import SlowdownTracker
 from repro.transport.registry import (
-    LOSS_VALIDATED,
     OVERHEAD_MODEL,
     network_overrides,
-    supports_fabric_faults,
     transport_factory,
 )
 from repro.workloads.catalog import get_workload
@@ -70,10 +68,6 @@ class ExperimentConfig:
     #: aggrs); a TopologySpec supersedes those fields and may add a third
     #: switch level, per-layer loss, and a fault schedule (docs/FABRICS.md)
     fabric: TopologySpec | None = None
-
-    def paper_scale(self) -> "ExperimentConfig":
-        """The full Figure 11 topology (slow in Python; used selectively)."""
-        return replace(self, racks=9, hosts_per_rack=16, aggrs=4)
 
     def to_payload(self) -> dict:
         """JSON-safe form (tuples become lists; see from_payload)."""
@@ -219,23 +213,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     if cfg.fabric is not None:
         # Declarative fabric: the spec supplies shape, speeds, loss, and
         # faults; racks/hosts_per_rack/aggrs on this config are ignored.
-        if ((cfg.fabric.loss.any() or cfg.fabric.faults)
-                and not supports_fabric_faults(cfg.protocol)):
-            validated = ", ".join(sorted(LOSS_VALIDATED))
-            raise ValueError(
-                f"protocol {cfg.protocol!r} is not validated under "
-                f"injected loss/faults; validated protocols: {validated} "
-                f"(registry.LOSS_VALIDATED, see docs/FABRICS.md).  Use a "
-                f"clean TopologySpec or a validated protocol")
         net = build_fabric(sim, cfg.fabric, seed=cfg.seed,
                            overrides=overrides)
-        net_cfg = net.cfg
     else:
-        net_cfg = NetworkConfig(
+        net = build_network(sim, NetworkConfig(
             racks=cfg.racks, hosts_per_rack=cfg.hosts_per_rack,
-            aggrs=cfg.aggrs if cfg.racks > 1 else 0,
-            seed=cfg.seed, **overrides)
-        net = build_network(sim, net_cfg)
+            aggrs=cfg.aggrs, seed=cfg.seed, **overrides))
 
     workload = get_workload(cfg.workload)
     factory = transport_factory(cfg.protocol, sim, net, workload.cdf,
@@ -266,7 +249,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     rate = arrival_rate_per_host(
         OVERHEAD_MODEL[cfg.protocol], workload.cdf, cfg.load,
-        link_gbps=net_cfg.host_gbps, unsched_limit=net.rtt_bytes())
+        link_gbps=net.spec.host_gbps, unsched_limit=net.rtt_bytes())
 
     if cfg.mode == "oneway":
         def make_hook(tracker=tracker, delays=delays):

@@ -755,19 +755,17 @@ class HomaTransport(Transport):
         for rpc in list(self.client_rpcs.values()):
             if rpc.response_started:
                 continue  # the inbound scan above covers it
-            if not rpc.request.fully_sent():
-                if rpc.request.sendable():
-                    continue  # actively transmitting: progress is made
-                # Stalled mid-request waiting for grants.  Normally the
-                # receiver's inactivity RESEND pokes the sender back into
-                # motion; but if the receiver gave up on the inbound
-                # request (its retry budget drained while our
-                # retransmissions kept getting lost), no grant will ever
-                # come and the RPC would hang forever.  Fall through and
-                # probe on the same budget: a live receiver answers
-                # BUSY/RESEND (both reset the budget via _on_busy /
-                # _on_resend), a vanished one stays silent until abort.
-                pass
+            if rpc.request.sendable():
+                continue  # actively transmitting: progress is made
+            # A request stalled mid-transfer waiting for grants probes
+            # too.  Normally the receiver's inactivity RESEND pokes the
+            # sender back into motion; but if the receiver gave up on
+            # the inbound request (its retry budget drained while our
+            # retransmissions kept getting lost), no grant will ever
+            # come and the RPC would hang forever.  So probe on the same
+            # budget: a live receiver answers BUSY/RESEND (both reset
+            # the budget via _on_busy / _on_resend), a vanished one
+            # stays silent until abort.
             if now - rpc.last_activity_ps < interval:
                 continue
             rpc.resends += 1

@@ -65,7 +65,7 @@ class ThroughputMeter:
             wire = sum(m.wire_bytes for m in self.meters)
             app = sum(m.app_bytes for m in self.meters)
         duration_s = (end - self.start_ps) / 1e12
-        capacity = (len(self.meters) * bytes_per_sec(self.net.cfg.host_gbps)
+        capacity = (len(self.meters) * bytes_per_sec(self.net.spec.host_gbps)
                     * duration_s)
         return capacity, wire, app
 

@@ -60,7 +60,7 @@ class PriorityUsage:
         else:
             end, totals = self.net.sim.now, self._totals()
         duration_s = (end - self.start_ps) / 1e12
-        capacity = (len(self.meters) * bytes_per_sec(self.net.cfg.host_gbps)
+        capacity = (len(self.meters) * bytes_per_sec(self.net.spec.host_gbps)
                     * duration_s)
         if capacity <= 0:
             return [0.0] * N_PRIORITIES

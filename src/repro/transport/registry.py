@@ -29,22 +29,6 @@ from repro.workloads.distributions import EmpiricalCDF
 PROTOCOLS = ("homa", "basic", "pfabric", "phost", "pias", "ndp",
              "stream", "stream_mc")
 
-#: protocols whose loss-recovery path is exercised end-to-end by the
-#: recovery battery (tests/test_recovery.py, tests/test_faults.py):
-#: dropped DATA/control packets are recovered through per-protocol
-#: timeouts (Homa RESENDs, pHost gap tokens, NDP re-NACKs, pFabric/
-#: PIAS/stream retransmission timers) or surfaced as give-ups through
-#: the shared RecoveryConfig contract in transport/base.py.  The
-#: registry arms recovery only when the fabric can drop packets
-#: (``net.may_drop()``), so clean-fabric digests stay byte-identical.
-LOSS_VALIDATED = PROTOCOLS
-
-
-def supports_fabric_faults(protocol: str) -> bool:
-    """True if ``protocol`` may run on a lossy/faulty TopologySpec."""
-    return protocol in LOSS_VALIDATED
-
-
 #: name used for control-packet overhead accounting (loadcalc)
 OVERHEAD_MODEL = {
     "homa": "homa",
@@ -83,7 +67,7 @@ def transport_factory(
     """Returns fn(host) -> transport for ``Network.attach_transports``."""
     rtt_bytes = net.rtt_bytes()
     rtt_ps = net.rtt_ps()
-    host_gbps = net.cfg.host_gbps
+    host_gbps = net.spec.host_gbps
     # Loss recovery is armed only when the fabric can actually drop
     # (injected loss filters or an armed fault schedule): on a clean
     # fabric ``recovery`` is None and no transport schedules a single

@@ -42,7 +42,7 @@ def homa_cluster(
     )
     transports = net.attach_transports(
         lambda host: HomaTransport(sim, cfg, alloc, rtt,
-                                   link_gbps=net.cfg.host_gbps))
+                                   link_gbps=net.spec.host_gbps))
     return sim, net, transports
 
 
@@ -72,7 +72,7 @@ def fabric_cluster(
     )
     transports = net.attach_transports(
         lambda host: HomaTransport(sim, cfg, alloc, rtt,
-                                   link_gbps=net.cfg.host_gbps))
+                                   link_gbps=net.spec.host_gbps))
     return sim, net, transports
 
 

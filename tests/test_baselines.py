@@ -81,7 +81,7 @@ def test_stream_hol_blocking_magnitude():
     sim.run(until_ps=100 * MS)
     short = next(r for r in records if r[1] == 100)
     latency = short[3] - short[2]
-    assert latency > 50 * net.min_oneway_ps(100, True)
+    assert latency > 50 * net.min_oneway_between(0, 1, 100)
 
 
 def test_stream_window_limits_inflight():
@@ -101,7 +101,7 @@ def test_stream_window_limits_inflight():
 def phost_factory(sim, net):
     def factory(host):
         return PHostTransport(sim, rtt_bytes=net.rtt_bytes(),
-                              host_gbps=net.cfg.host_gbps,
+                              host_gbps=net.spec.host_gbps,
                               rtt_ps=net.rtt_ps())
     return factory
 
@@ -251,7 +251,7 @@ def test_pias_ecn_backoff_under_congestion():
 def ndp_factory(sim, net):
     def factory(host):
         return NdpTransport(sim, rtt_bytes=net.rtt_bytes(),
-                            host_gbps=net.cfg.host_gbps)
+                            host_gbps=net.spec.host_gbps)
     return factory
 
 

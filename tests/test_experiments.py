@@ -118,11 +118,6 @@ def test_runner_rejects_removed_cut_through_override(fabric):
                                   fabric=fabric))
 
 
-def test_paper_scale_helper():
-    cfg = quick_base().paper_scale()
-    assert cfg.racks == 9 and cfg.hosts_per_rack == 16 and cfg.aggrs == 4
-
-
 def test_result_slowdown_series_length():
     result = run_experiment(quick_base(max_messages=300))
     series = result.slowdown_series(99)

@@ -14,10 +14,11 @@ Covers the fault-injection PR's contracts end to end:
   ``fault_drops``, reroutes the spray sets, black-holes routeless
   packets, and messages in flight across a transient outage still
   complete via RESENDs.
-* **Guard rails** — unknown fault targets, malformed events/rates and
-  the ``LOSS_VALIDATED`` protocol gate all fail loudly, naming the
-  offending field.
+* **Guard rails** — unknown fault targets and malformed events/rates
+  fail loudly, naming the offending field.
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -29,7 +30,6 @@ from repro.core.units import MS, US
 from repro.experiments.campaign import slowdown_digest
 from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.metrics.control import FabricHealth
-from repro.transport.registry import LOSS_VALIDATED, supports_fabric_faults
 
 from tests.helpers import collect_completions, fabric_cluster, small_net
 
@@ -72,15 +72,25 @@ def test_clean_spec_digests_byte_identical_to_plain_config():
     assert not fabric.fabric.any()
 
 
-def test_clean_two_level_spec_lowers_to_canonical_network():
+@pytest.mark.parametrize("racks,hosts_per_rack,aggrs", [
+    (2, 2, 2),
+    (1, 4, 2),     # one rack: build_network drops the aggrs
+    (9, 16, 4),    # Figure 11
+])
+def test_clean_two_level_spec_and_config_build_the_same_network(
+        racks, hosts_per_rack, aggrs):
     """One builder: a clean 2-level spec and the equivalent plain
     ``NetworkConfig`` build the same ``Network`` — same switches, same
     ports, same rates (the golden test above pins the digests)."""
-    sim, net, _ = fabric_cluster(
-        TopologySpec(levels=2, racks=2, hosts_per_rack=2, aggrs=2))
-    _, plain = small_net(racks=2, hosts_per_rack=2, aggrs=2)
+    spec = TopologySpec(levels=2, racks=racks,
+                        hosts_per_rack=hosts_per_rack, aggrs=aggrs)
+    sim, net, _ = fabric_cluster(spec)
+    _, plain = small_net(racks=racks, hosts_per_rack=hosts_per_rack,
+                         aggrs=aggrs)
     assert type(net) is type(plain) is Network
     assert net.fault_injector is None and not net.may_drop()
+    # build_network's spec is the one it built: one rack has no aggrs.
+    assert plain.spec == replace(spec, aggrs=aggrs if racks > 1 else 0)
 
     def shape(network):
         return ([(sw.name, sw.level, [p.name for p in sw.ports])
@@ -89,7 +99,9 @@ def test_clean_two_level_spec_lowers_to_canonical_network():
                  (*network.host_up_ports, *network.all_switch_ports())])
 
     assert shape(net) == shape(plain)
-    assert [sw.name for sw in net.aggrs] == ["aggr0.0", "aggr0.1"]
+    assert [sw.name for sw in net.aggrs] == (
+        [f"aggr0.{a}" for a in range(aggrs)] if racks > 1 else [])
+    assert net.rtt_ps() == plain.rtt_ps()
 
 
 def test_faulty_spec_builds_liveness_aware_fabric():
@@ -181,7 +193,7 @@ def test_echo_conservation_at_exhaustion(workload, seed, rate):
     transports = net.attach_transports(lambda host: factory(host))
     per_host = arrival_rate_per_host(
         OVERHEAD_MODEL["homa"], workload_obj.cdf, 0.5,
-        link_gbps=net.cfg.host_gbps, unsched_limit=net.rtt_bytes())
+        link_gbps=net.spec.host_gbps, unsched_limit=net.rtt_bytes())
     apps = attach_echo_workload(
         net, transports, workload_obj.cdf, per_host,
         stop_ps=300 * US, seed=seed)
@@ -407,32 +419,6 @@ def test_malformed_fault_event_names_the_field(kwargs, field):
 def test_malformed_loss_rates_name_the_field(kwargs, field):
     with pytest.raises(ValueError, match=field):
         LossRates(**kwargs)
-
-
-def test_every_registered_protocol_is_loss_validated():
-    # PR 10 closed the gap: the full registry survives injected loss.
-    from repro.transport.registry import PROTOCOLS
-    for protocol in PROTOCOLS:
-        assert supports_fabric_faults(protocol), protocol
-    assert tuple(LOSS_VALIDATED) == tuple(PROTOCOLS)
-
-
-def test_unvalidated_protocol_refused_under_loss(monkeypatch):
-    # The guard rail itself must keep working should a future protocol
-    # land unvalidated: shrink LOSS_VALIDATED and check the refusal
-    # names the validated set and points at the docs.
-    import repro.experiments.runner as runner_mod
-    import repro.transport.registry as registry_mod
-    monkeypatch.setattr(registry_mod, "LOSS_VALIDATED", ("homa", "basic"))
-    monkeypatch.setattr(runner_mod, "LOSS_VALIDATED", ("homa", "basic"))
-    assert supports_fabric_faults("homa")
-    assert not supports_fabric_faults("pfabric")
-    cfg = ExperimentConfig(protocol="pfabric", fabric=_echo_spec(0.05),
-                           duration_ms=0.1, warmup_ms=0.0, drain_ms=0.1)
-    with pytest.raises(ValueError, match="docs/FABRICS.md") as err:
-        run_experiment(cfg)
-    assert "not validated under injected" in str(err.value)
-    assert "basic, homa" in str(err.value)
 
 
 def test_validated_protocols_accept_clean_specs():

@@ -30,7 +30,7 @@ def test_echo_rpc_completes_at_oracle_time():
     sim.run(until_ps=5 * MS)
     assert len(done) == 1
     assert done[0][1].length == 100
-    assert sim.now >= net.min_rpc_ps(100, 100, same_rack=True)
+    assert sim.now >= net.min_rpc_between(0, 1, 100, 100)
 
 
 def test_rpc_response_time_close_to_oracle():
@@ -39,7 +39,7 @@ def test_rpc_response_time_close_to_oracle():
     start = sim.now
     transports[0].send_rpc(1, 100, on_response=lambda rid, msg: times.append(sim.now))
     sim.run(until_ps=5 * MS)
-    oracle = net.min_rpc_ps(100, 100, same_rack=True)
+    oracle = net.min_rpc_between(0, 1, 100, 100)
     assert times[0] - start == oracle
 
 

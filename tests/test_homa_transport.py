@@ -20,7 +20,7 @@ def test_small_message_delivered_at_oracle_time():
     assert len(records) == 1
     hid, msg, now = records[0]
     assert hid == 1 and msg.length == 100
-    assert now == net.min_oneway_ps(100, same_rack=True)
+    assert now == net.min_oneway_between(0, 1, 100)
 
 
 def test_single_packet_message_needs_no_grants():
@@ -45,7 +45,7 @@ def test_large_message_uses_grants_and_completes():
     assert len(records) == 1
     assert transports[1].grants_sent > 0
     _, msg, now = records[0]
-    oracle = net.min_oneway_ps(length, same_rack=True)
+    oracle = net.min_oneway_between(0, 1, length)
     # Grant pacing should keep the pipe essentially full.
     assert now < oracle * 1.15
 
@@ -56,7 +56,7 @@ def test_large_message_grant_flow_keeps_line_rate_cross_rack():
     records = run_oneway(sim, net, transports, 0, 7, length)
     assert len(records) == 1
     _, _, now = records[0]
-    assert now < net.min_oneway_ps(length) * 1.1
+    assert now < net.min_oneway_between(0, 7, length) * 1.1
 
 
 def test_granted_minus_received_bounded():

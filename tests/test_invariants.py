@@ -73,8 +73,7 @@ def test_prop_conservation_and_physicality(grant_batch_ns, schedule):
     delivered = sorted((msg.src, hid, msg.length) for hid, msg, _ in records)
     assert delivered == sorted(submitted)
     for hid, msg, now in records:
-        oracle = net.min_oneway_ps(msg.length,
-                                   net.same_rack(msg.src, hid))
+        oracle = net.min_oneway_between(msg.src, hid, msg.length)
         assert now - msg.created_ps >= oracle
 
 

@@ -35,7 +35,7 @@ def make_net():
 def test_tracker_records_relative_to_oracle():
     net = make_net()
     tracker = SlowdownTracker(net)
-    oracle = net.min_oneway_ps(100, False)
+    oracle = net.min_oneway_between(0, 143, 100)
     tracker.record_oneway(0, 143, 100, 0, 2 * oracle)
     assert type(tracker.sizes) is array and tracker.sizes.typecode == "q"
     assert type(tracker.slowdowns) is array
@@ -55,7 +55,7 @@ def test_tracker_warmup_filter():
 def test_tracker_rpc_uses_round_trip_oracle():
     net = make_net()
     tracker = SlowdownTracker(net)
-    oracle = net.min_rpc_ps(200, 200, False)
+    oracle = net.min_rpc_between(0, 143, 200, 200)
     tracker.record_rpc(0, 143, 200, 200, 0, oracle)
     assert tracker.sizes == array("q", [200])
     assert list(tracker.slowdowns) == [pytest.approx(1.0)]
