@@ -25,14 +25,25 @@ collection, the interpreter's switch interval) is invisible to the
 count.  ``--cpu`` runs untraced and reports each cell's process CPU
 seconds instead (``cpu_s``, around ``run_experiment``); interleave runs
 of the two trees in a shell loop and count the pairs each side wins.
+
+``--memory`` runs untraced under ``tracemalloc`` and reports each
+cell's traced peaks in bytes: ``pre_run_peak``, everything
+``run_experiment`` allocated before ``Simulator.run`` (fabric,
+transports, apps, load estimate), and ``run_peak``, the run itself.
+The peak is reset before each cell and again as the run starts, so a
+transient freed before the run ends still shows; the ``total`` line
+holds the largest of each.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import operator
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 PERF_DIR = Path(__file__).resolve().parent / "perf"
@@ -66,7 +77,25 @@ def _install_counter(engine) -> list[int]:
     return count
 
 
-def count(workloads: list[str], seed: int, smoke: bool, cpu: bool,
+def _install_peaks(engine) -> list[int]:
+    """Wrap ``Simulator.run`` so it records the traced peak before it
+    (the set-up's) and at its end (the run's own, reset on entry)."""
+    peaks = [0, 0]
+    run = engine.Simulator.run
+
+    def peaked(self, *args, **kwargs):
+        peaks[0] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        try:
+            return run(self, *args, **kwargs)
+        finally:
+            peaks[1] = tracemalloc.get_traced_memory()[1]
+
+    engine.Simulator.run = peaked
+    return peaks
+
+
+def count(workloads: list[str], seed: int, smoke: bool, mode: str,
           out) -> None:
     from repro.core import engine
     from repro.experiments.campaign import slowdown_digest
@@ -74,25 +103,42 @@ def count(workloads: list[str], seed: int, smoke: bool, cpu: bool,
 
     import perf_workloads
 
-    metric = "cpu_s" if cpu else "bytecodes"
-    counter = [0] if cpu else _install_counter(engine)
+    if mode == "memory":
+        peaks = _install_peaks(engine)
+        tracemalloc.start()
+    elif mode == "bytecodes":
+        counter = _install_counter(engine)
+    # a workload's peak is its largest cell's; counts and seconds add up
+    combine = max if mode == "memory" else operator.add
     for name in workloads:
-        totals = {metric: 0, "events": 0}
+        totals = {"events": 0}
         for label, cfg in perf_workloads.SIM_WORKLOADS[name](seed, smoke):
-            counter[0] = 0
+            if mode == "memory":
+                gc.collect()
+                tracemalloc.reset_peak()
+            elif mode == "bytecodes":
+                counter[0] = 0
             began = time.process_time()
             result = run_experiment(cfg)
-            cpu_s = time.process_time() - began
-            row = {"workload": name, "cell": label,
-                   metric: round(cpu_s, 3) if cpu else counter[0],
+            if mode == "memory":
+                values = {"pre_run_peak": peaks[0], "run_peak": peaks[1]}
+            elif mode == "cpu":
+                values = {"cpu_s": round(time.process_time() - began, 3)}
+            else:
+                values = {"bytecodes": counter[0]}
+            for metric, value in values.items():
+                totals[metric] = combine(totals.get(metric, 0), value)
+            totals["events"] += result.events
+            row = {"workload": name, "cell": label, **values,
                    "events": result.events,
                    "digest": slowdown_digest({"cell": result})}
-            totals[metric] += row[metric]
-            totals["events"] += row["events"]
             out.write(json.dumps(row, sort_keys=True) + "\n")
             out.flush()
-        if cpu:
-            totals[metric] = round(totals[metric], 3)
+            # The tracker holds the network: drop the run before the
+            # next cell, or its whole model counts in that cell's peaks.
+            del result
+        if mode == "cpu":
+            totals["cpu_s"] = round(totals["cpu_s"], 3)
         out.write(json.dumps({"workload": name, "cell": "total", **totals},
                              sort_keys=True) + "\n")
         out.flush()
@@ -109,8 +155,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--smoke", action="store_true",
                         help="the benchmark's smoke-size cells (seconds)")
-    parser.add_argument("--cpu", action="store_true",
-                        help="untraced: process CPU seconds per cell")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--cpu", action="store_const", dest="mode",
+                      const="cpu", default="bytecodes",
+                      help="untraced: process CPU seconds per cell")
+    mode.add_argument("--memory", action="store_const", dest="mode",
+                      const="memory",
+                      help="untraced: tracemalloc pre-run and run peaks "
+                           "per cell, in bytes")
     args = parser.parse_args(argv)
     src = Path(args.src).resolve()
     if not (src / "repro" / "__init__.py").is_file():
@@ -121,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if Path(repro.__file__).resolve().parent != src / "repro":
         parser.error(f"repro already imported from {repro.__file__}")
-    count(args.workload, args.seed, args.smoke, args.cpu, sys.stdout)
+    count(args.workload, args.seed, args.smoke, args.mode, sys.stdout)
     return 0
 
 

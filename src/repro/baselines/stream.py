@@ -27,7 +27,6 @@ re-ACKs late retransmissions of recently completed messages.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional
 
 from repro.core.engine import Simulator
@@ -45,7 +44,7 @@ class _Connection:
     def __init__(self, peer: int, index: int, window: int) -> None:
         self.peer = peer
         self.index = index
-        self.queue: deque[OutboundMessage] = deque()  # FIFO messages
+        self.queue: list[OutboundMessage] = []  # FIFO messages
         self.in_flight = 0
         self.window = window
 
@@ -53,7 +52,7 @@ class _Connection:
         if self.in_flight >= self.window:
             return False
         while self.queue and self.queue[0].fully_sent():
-            self.queue.popleft()
+            self.queue.pop(0)  # simlint: ok(quadratic-pop) — a connection holds at most 18 messages on any measured run; a deque costs 760 B per idle connection (docs/PERFORMANCE.md, "Stream connection state")
         return bool(self.queue)
 
 
@@ -89,8 +88,7 @@ class StreamTransport(Transport):
             conns = [_Connection(dst, i, self.window_bytes)
                      for i in range(self.connections_per_pair)]
             self.connections[dst] = conns
-            for conn in conns:
-                self._ring.add(conn)
+            self._ring.add(*conns)
         index = self._rr.get(dst, 0)
         self._rr[dst] = (index + 1) % len(conns)
         return conns[index]
@@ -133,7 +131,7 @@ class StreamTransport(Transport):
         if is_rtx:
             self.rtx_data_sent += 1
         if msg.fully_sent():
-            best.queue.popleft()
+            best.queue.pop(0)
         return Packet(
             self.hid, best.peer, PacketType.DATA, prio=0, payload=size,
             rpc_id=msg.rpc_id, is_request=msg.is_request, offset=offset,
@@ -232,7 +230,7 @@ class StreamTransport(Transport):
         if msg not in conn.queue:
             # Retransmissions jump the FIFO: the message already paid
             # its HOL-blocking dues on first transmission.
-            conn.queue.appendleft(msg)
+            conn.queue.insert(0, msg)
         self._ring.mark(conn)
         self.kick()
 

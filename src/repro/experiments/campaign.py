@@ -22,6 +22,8 @@ Three properties the benchmarks rely on:
   outside the package).  Re-running a figure after an unrelated edit
   (docs, tests, other benchmarks) is a cache hit; touching simulator
   code invalidates everything, which is the conservative direction.
+  An entry whose payload will not decode is a miss: the cell is
+  recomputed and the entry rewritten.
 * **Attribution** — a failing cell surfaces its campaign, key, and
   full config in the raised :class:`CampaignCellError`, so a sweep that
   dies mid-campaign names the exact simulation to reproduce.

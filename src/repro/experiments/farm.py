@@ -27,6 +27,8 @@ Robustness model (docs/CAMPAIGNS.md, farm section):
 * **Hostile peers** — a ``result`` or ``error`` frame naming a cell its
   connection does not hold is a ``ProtocolError``: the peer is dropped,
   its cells are requeued, and nothing reaches the cache or journal.
+  A result is decoded before it is cached: one that will not decode
+  fails its cell with a ``CampaignCellError`` and is never stored.
 * **Resumability** — every completed cell, local or farmed, is appended
   to a per-campaign journal (``<cache dir>/journal/<campaign>.jsonl``)
   tagged with a sweep id.  A killed run restarted on the same spec
@@ -275,7 +277,7 @@ class _FarmState:
             it for it in items if it.wire_spec is None)
         self.in_flight: dict[str, _WorkerConn] = {}
         self.attempts: dict[str, int] = {}
-        self.payloads: dict[str, Any] = {}
+        self.results: dict[str, Any] = {}  # decoded, by cell id
         self.workers_ever = 0
         self.requeues = 0
         self.duplicates = 0
@@ -340,23 +342,30 @@ class _FarmState:
 
     def deliver(self, cell_id: Any, payload: Any,
                 worker: _WorkerConn | None) -> bool:
-        """Record one result; False (and no effect) for duplicates."""
+        """Decode, cache and record one result; False (and no effect)
+        for duplicates.  A payload that will not decode fails its cell
+        and is never cached."""
         with self.lock:
             item = self._named_item(cell_id, worker)
             if worker is not None:
                 del self.in_flight[cell_id]
                 worker.holding.discard(cell_id)
-            if cell_id in self.payloads:
+            if cell_id in self.results:
                 self.duplicates += 1
                 return False  # idempotent: first delivery won
-            self.payloads[cell_id] = payload
+            try:
+                result = _resolve(item.cell.decode)(payload)
+            except Exception as exc:
+                self._fail(item, exc)
+                return False
+            self.results[cell_id] = result
             self.cache.store(item.path, item.campaign, item.cell, payload)
             self.journal.record(item.campaign, item.chash, item.cell)
             if (self.crash_after is not None
-                    and len(self.payloads) >= self.crash_after):
+                    and len(self.results) >= self.crash_after):
                 self.crashed = True
                 self.done.set()
-            if len(self.payloads) == len(self.items):
+            if len(self.results) == len(self.items):
                 self.done.set()
             return True
 
@@ -364,12 +373,14 @@ class _FarmState:
                   worker: _WorkerConn | None) -> None:
         """A cell's task raised (deterministic failure: no retry)."""
         with self.lock:
-            item = self._named_item(cell_id, worker)
-            if self.failure is None:
-                self.failure = CampaignCellError(item.campaign, item.cell,
-                                                 cause)
-                self.failure.__cause__ = cause
-            self.done.set()
+            self._fail(self._named_item(cell_id, worker), cause)
+
+    def _fail(self, item: _Item, cause: BaseException) -> None:
+        """The first failure stops the sweep (lock held)."""
+        if self.failure is None:
+            self.failure = CampaignCellError(item.campaign, item.cell, cause)
+            self.failure.__cause__ = cause
+        self.done.set()
 
     def release_worker(self, worker: _WorkerConn) -> None:
         """Worker gone: requeue its in-flight cells, budget permitting."""
@@ -585,7 +596,8 @@ def _execute_pool(state: _FarmState, items: list[_Item], jobs: int) -> None:
         while pending:
             finished, pending = wait(pending, return_when=FIRST_COMPLETED)
             for future in finished:
-                item = futures[future]
+                # popped: the payload it holds dies once decoded
+                item = futures.pop(future)
                 exc = future.exception()
                 if exc is None:
                     state.deliver(item.cell_id, future.result(), None)
@@ -620,9 +632,15 @@ def _run_sweep(specs: list[CampaignSpec],
                       cache.dir / "journal" if journal_dir is None
                       else journal_dir)
 
-    payloads: dict[str, dict[Hashable, Any]] = {s.name: {} for s in specs}
-    resumed = dict.fromkeys(payloads, 0)
+    # Each payload is decoded as it lands; a cache entry that will not
+    # decode is a miss, recomputed and rewritten.  The loaded entries
+    # are released together once the scan ends: freed one at a time
+    # between the decoded columns' allocations, they fragmented the heap
+    # (campaign_stack peak RSS 87.5 -> 93.3 MB under some layouts).
+    decoded: dict[str, dict[Hashable, Any]] = {s.name: {} for s in specs}
+    resumed = dict.fromkeys(decoded, 0)
     items: list[_Item] = []
+    loaded = []
     for spec, chashes in zip(specs, hashes):
         journal_done = journal.done[spec.name]
         for cell, chash in zip(spec.cells, chashes):
@@ -631,15 +649,23 @@ def _run_sweep(specs: list[CampaignSpec],
             # interrupted run of this same sweep computed it.
             payload = (cache.load(path) if not fresh or chash in journal_done
                        else None)
+            if payload is not None:
+                loaded.append(payload)
+                try:
+                    decoded[spec.name][cell.key] = \
+                        _resolve(cell.decode)(payload)
+                except Exception:
+                    # Any failure is a miss: if the decoder itself is at
+                    # fault, the recomputed cell's delivery reports it.
+                    payload = None
             if payload is None:
                 items.append(_Item(
                     campaign=spec.name, cell=cell, path=path, chash=chash,
                     cell_id=f"{spec.name}/{chash}",
                     wire_spec=encode_spec(cell.spec), cost=_cell_cost(cell)))
-            else:
-                payloads[spec.name][cell.key] = payload
-                if fresh:
-                    resumed[spec.name] += 1
+            elif fresh:
+                resumed[spec.name] += 1
+    del loaded
     items.sort(key=lambda it: it.cost, reverse=True)
 
     state = _FarmState(items, retry_budget=retry_budget, cache=cache,
@@ -653,11 +679,11 @@ def _run_sweep(specs: list[CampaignSpec],
             raise state.failure
         if state.crashed:
             raise FarmInterrupted(
-                f"coordinator interrupted after {len(state.payloads)} "
+                f"coordinator interrupted after {len(state.results)} "
                 f"cell(s); journal retained for resume (sweep {sweep})")
         for item in items:
-            payloads[item.campaign][item.cell.key] = \
-                state.payloads[item.cell_id]
+            decoded[item.campaign][item.cell.key] = \
+                state.results[item.cell_id]
 
     journal.complete()
     wall = time.monotonic() - start
@@ -666,9 +692,7 @@ def _run_sweep(specs: list[CampaignSpec],
     out: dict[str, CampaignResults] = {}
     for spec in specs:
         results = out[spec.name] = CampaignResults(
-            (cell.key,
-             _resolve(cell.decode)(payloads[spec.name][cell.key]))
-            for cell in spec.cells)
+            (cell.key, decoded[spec.name][cell.key]) for cell in spec.cells)
         results.name = spec.name
         results.jobs = jobs
         results.computed = computed[spec.name]

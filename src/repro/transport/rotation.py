@@ -30,16 +30,19 @@ class ReadyRing:
         self._cursor = 0  # position served next
         self._ready = 0   # bit p set: _members[p] may pass the predicate
 
-    def add(self, member: Any) -> None:
-        """Join just behind the cursor, marked ready."""
+    def add(self, *members: Any) -> None:
+        """Join just behind the cursor, in order, marked ready: the same
+        ring as one ``add`` per member, with one shift of the ready mask
+        and one renumbering of the members behind them."""
+        k = len(members)
         pos = self._cursor
         if pos == 0:  # behind position 0 is the end: nothing shifts
             pos = len(self._members)
         else:
-            self._cursor = pos + 1
+            self._cursor = pos + k
         above = self._ready >> pos << pos
-        self._ready ^= above ^ (above << 1) ^ (1 << pos)
-        self._members.insert(pos, member)
+        self._ready ^= above ^ (above << k) ^ (((1 << k) - 1) << pos)
+        self._members[pos:pos] = members
         self._renumber(pos)
 
     def remove(self, member: Any) -> None:

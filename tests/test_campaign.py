@@ -268,6 +268,29 @@ def test_version_1_cache_entry_is_a_miss_and_is_overwritten(tmp_path):
                         quiet=True).cached == 1
 
 
+def test_truncated_cache_entry_is_recomputed_and_rewritten(tmp_path):
+    """A current-version entry whose packed column was truncated is a
+    miss: the cell is recomputed and the entry rewritten, instead of
+    every later run raising in ``from_payload``."""
+    spec = campaign.experiment_grid("truncated", {"cell": small_cfg()})
+    first = campaign.run(spec, jobs=1, cache_dir=tmp_path, quiet=True)
+    cache = campaign.ResultCache(tmp_path)
+    path = cache.path_for(spec.name, spec.cells[0])
+    entry = json.loads(path.read_bytes())
+    packed = dict(entry["payload"]["tracker"])
+    entry["payload"]["tracker"]["sizes"] = packed["sizes"][:-3]
+    path.write_text(json.dumps(entry))
+    with pytest.raises(ValueError, match="'sizes' is not valid base64"):
+        campaign.experiment_decode(cache.load(path))
+
+    rerun = campaign.run(spec, jobs=1, cache_dir=tmp_path, quiet=True)
+    assert (rerun.computed, rerun.cached) == (1, 0)
+    assert campaign.slowdown_digest(rerun) == campaign.slowdown_digest(first)
+    assert json.loads(path.read_bytes())["payload"]["tracker"] == packed
+    assert campaign.run(spec, jobs=1, cache_dir=tmp_path,
+                        quiet=True).cached == 1
+
+
 def test_cache_entry_written_before_typed_columns_is_a_hit(tmp_path):
     """The typed columns changed no byte of the payload and no version
     number, so an entry the list-backed code (commit ee73789) wrote is

@@ -10,6 +10,7 @@ import pytest
 
 from repro.experiments import farm, wire
 from repro.experiments.campaign import (
+    EXPERIMENT_DECODE,
     IDENTITY_DECODE,
     CampaignCellError,
     CampaignSpec,
@@ -391,6 +392,31 @@ def test_task_error_fails_immediately_without_retry(tmp_path):
                               farm_wait_s=30.0)
     assert err.value.campaign == spec.name
     assert "boom on 0" in str(err.value)
+
+
+@pytest.mark.parametrize("path", ["farm", "local"])
+def test_undecodable_result_fails_its_cell_and_is_never_cached(tmp_path,
+                                                               path):
+    """A result whose payload will not decode (here a worker's
+    ``{"value": 9}`` claimed as an ``ExperimentResult``) fails the cell
+    it names; neither the cache nor the journal ever sees it."""
+    cell = Cell(key="forged", spec={"x": 3},
+                task="tests.test_farm:square_task", decode=EXPERIMENT_DECODE)
+    spec = CampaignSpec(name="farmforged", cells=[cell])
+    with pytest.raises(CampaignCellError) as err:
+        if path == "farm":
+            run_farm_with_workers([spec], tmp_path, workers=1,
+                                  farm_wait_s=30.0)
+        else:
+            run_pooled([spec], jobs=1, cache_dir=tmp_path / "cache",
+                       quiet=True)
+    assert err.value.campaign == spec.name
+    assert err.value.cell is cell
+    assert "cell 'forged' failed" in str(err.value)
+    assert not ResultCache(tmp_path / "cache").path_for(
+        spec.name, cell).exists()
+    assert not (tmp_path / "cache" / "journal").exists()
+    assert not (tmp_path / "journal").exists()
 
 
 def test_duplicate_delivery_is_idempotent(tmp_path):

@@ -71,8 +71,8 @@ def check(ring, scan):
     assert ring._ready >> len(ring._members) == 0
 
 
-OPS = ("add", "enqueue", "pull", "pull", "ack", "rtx_expire", "give_up",
-       "remove")
+OPS = ("add", "add_peer", "enqueue", "pull", "pull", "ack", "rtx_expire",
+       "give_up", "remove")
 
 
 def drive(history, initial=0):
@@ -84,19 +84,22 @@ def drive(history, initial=0):
         evaluated += 1
         return member.sendable()
 
-    def add():
+    def add(k=1):
         nonlocal made
-        conn = Conn(made)
-        made += 1
-        live.append(conn)
-        ring.add(conn)
-        scan.add(conn)
+        conns = [Conn(made + i) for i in range(k)]
+        made += k
+        live.extend(conns)
+        ring.add(*conns)  # one call, as a stream peer's connections join
+        for conn in conns:
+            scan.add(conn)
 
     for _ in range(initial):
         add()
     for op, pick in history:
         if op == "add":
             add()
+        elif op == "add_peer":
+            add(pick % 8 + 1)
         elif op == "pull":
             got = ring.pull(counting)
             assert got is scan.pull(Conn.sendable)
@@ -135,6 +138,30 @@ histories = st.lists(
 def test_ring_matches_linear_scan(history, initial):
     ring, scan, evaluated = drive(history, initial)
     assert evaluated <= scan.examined
+
+
+def ring_state(ring):
+    return ([m.name for m in ring._members],
+            [m.ring_pos for m in ring._members], ring._cursor, ring._ready)
+
+
+@given(st.integers(min_value=0, max_value=12),
+       st.integers(min_value=1, max_value=8), st.data())
+@settings(max_examples=300, deadline=None)
+def test_batched_add_equals_sequential_adds(n, k, data):
+    """``add(*ms)`` leaves exactly the ring ``k`` single adds leave, at
+    any cursor and any ready mask."""
+    cursor = data.draw(st.integers(min_value=0, max_value=max(0, n - 1)))
+    ready = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    batched, sequential = ReadyRing(), ReadyRing()
+    for ring in (batched, sequential):
+        for i in range(n):
+            ring.add(Conn(i))  # cursor 0: each joins at the end
+        ring._cursor, ring._ready = cursor, ready
+    batched.add(*[Conn(n + i) for i in range(k)])
+    for i in range(k):
+        sequential.add(Conn(n + i))
+    assert ring_state(batched) == ring_state(sequential)
 
 
 def test_insert_while_cursor_is_mid_ring():
