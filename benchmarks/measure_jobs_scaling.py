@@ -1,11 +1,10 @@
 """Measure fresh-run process-pool scaling: ``--jobs 1`` vs ``--jobs N``.
 
 Closes the measurement gap ROADMAP has carried since PR 2: the pooled
-campaign path claimed ~min(jobs, cores) fresh-run scaling, but the dev
-container had one CPU, so the recorded numbers (BENCH_hotpaths.json,
-trajectory notes) only ever showed pool *overhead*.  CI runners have 4
-vCPUs; the ``jobs-scaling`` job runs this script there, asserts the
-speedup floor, and uploads the JSON as an artifact.
+campaign path claimed ~min(jobs, cores) fresh-run scaling, but the
+one-CPU machine it was measured on only ever showed pool *overhead*.
+CI runners have 4 vCPUs; the ``jobs-scaling`` job runs this script
+there, asserts the speedup floor, and uploads the JSON as an artifact.
 
 Method: the fig12/13 slowdown grid at tiny scale (5 workloads, ~21
 cells — the same campaign PR 2 measured), run fresh into a throwaway

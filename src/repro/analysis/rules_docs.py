@@ -15,6 +15,9 @@ ghost documentation behind.
 And the pointers themselves must land: a markdown file named in a
 Python docstring or comment has to exist (``missing-doc``) — at the repo
 root, under docs/, at the path written, or beside the file naming it.
+So must a ``benchmarks/…py`` script named in Python prose or in a
+docs/ page (``missing-script``); the root-level history files are not
+scanned.
 """
 
 from __future__ import annotations
@@ -35,6 +38,10 @@ _TABLE_FIELD_RE = re.compile(r"^\|\s*`([a-z][a-z0-9_]*)`")
 
 #: a markdown file named in prose (globs such as ``*.md`` do not match)
 _MD_REF_RE = re.compile(r"[\w./-]*\w\.md\b")
+
+#: a benchmark script named in prose (globs such as
+#: ``bench_figNN_*.py`` do not match)
+_SCRIPT_REF_RE = re.compile(r"(?<![\w-])benchmarks/[\w./-]*\w\.py\b")
 
 
 def _prose(mod: Module):
@@ -86,6 +93,41 @@ def _missing_docs(project: Project) -> list[Finding]:
     return out
 
 
+def _missing_scripts(project: Project) -> list[Finding]:
+    """``missing-script``: benchmark script pointers that land nowhere,
+    from Python prose and from the pages under docs/."""
+    def exists(ref: str) -> bool:
+        return ref in project.by_rel or (
+            project.root is not None and (project.root / ref).is_file())
+
+    sources = [(mod.rel, lineno, scope, text)
+               for mod in project.modules
+               for lineno, scope, text in _prose(mod)]
+    sources += [(rel, lineno, "<doc>", text)
+                for rel, doc in sorted(project.docs.items())
+                if rel.startswith("docs/")
+                for lineno, text in enumerate(doc.splitlines(), start=1)]
+    out: list[Finding] = []
+    for path, lineno, scope, text in sources:
+        for ref in _SCRIPT_REF_RE.findall(text):
+            if not exists(ref):
+                out.append(
+                    Finding(
+                        rule="doc-drift",
+                        path=path,
+                        line=lineno,
+                        scope=scope,
+                        detail=f"missing-script:{ref}",
+                        message=(
+                            f"{ref} is not in the tree; point at the "
+                            f"script that does the job now, or drop the "
+                            f"pointer"
+                        ),
+                    )
+                )
+    return out
+
+
 @rule("doc-drift")
 def check_doc_drift(project: Project) -> list[Finding]:
     """HomaConfig/NetworkConfig fields must appear in the markdown docs.
@@ -94,9 +136,10 @@ def check_doc_drift(project: Project) -> list[Finding]:
     some ``*.md`` under the repo root or docs/.  Reverse: each
     backticked field in a docs/CONFIG.md table row must still exist on
     one of the config classes.  Pointers: a markdown file named in a
-    docstring or comment must exist.
+    docstring or comment, and a ``benchmarks/`` script named there or
+    in docs/, must exist.
     """
-    out = _missing_docs(project)
+    out = _missing_docs(project) + _missing_scripts(project)
     all_docs = "\n".join(project.docs.values())
     known_fields: set[str] = set()
     for mod in project.modules:

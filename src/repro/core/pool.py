@@ -11,10 +11,9 @@ making allocation and recycling O(1) list ops.
 
 Why slots-as-objects instead of raw parallel ``array('q')`` columns:
 CPython boxes every ``array`` element on read, making it several times
-the cost of a slot attribute read (the ``array_q_read`` vs
-``slot_attr_read`` rows of ``--dispatch-micro``), so a packet
-represented as "an index into twenty int arrays" pays the boxing toll
-on every field touch in every hop.  The pool therefore keeps the
+the cost of a slot attribute read (~3x, micro-timed at ``913018c``), so
+a packet represented as "an index into twenty int arrays" pays the
+boxing toll on every field touch in every hop.  The pool therefore keeps the
 *storage discipline* of a struct-of-arrays core — preallocation, index
 free-list, explicit recycle points, growth in deterministic chunks —
 and keeps the per-field representation in slot descriptors, which is

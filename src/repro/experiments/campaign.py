@@ -232,12 +232,14 @@ class ResultCache:
         return self.dir / f"{_sanitize(campaign)}-{chash}.json"
 
     def load(self, path: Path) -> Any | None:
-        """The payload, or None on miss (or an unreadable/stale file)."""
+        """The payload, or None on miss (or an unreadable/stale file,
+        or one whose JSON is not an entry object)."""
         try:
             entry = json.loads(path.read_text())
         except (OSError, ValueError):
             return None
-        if entry.get("version") != _CACHE_VERSION:
+        if (not isinstance(entry, dict)
+                or entry.get("version") != _CACHE_VERSION):
             return None
         return entry.get("payload")
 

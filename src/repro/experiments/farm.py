@@ -810,7 +810,10 @@ def worker_loop(host: str, port: int, *, name: str | None = None,
                 quiet: bool = True) -> int:
     """One farm worker: pull cells until the coordinator says done.
 
-    Returns the number of cells completed.  ``die_after=N`` is the
+    Returns the number of cells completed.  A coordinator that goes
+    away — EOF, or a reset or broken pipe at any send or receive, even
+    mid-cell — ends the loop the same way; a malformed frame still
+    raises :class:`ProtocolError`.  ``die_after=N`` is the
     chaos hook behind ``farm-worker --die-after``: upon *receiving* the
     Nth cell the worker dies abruptly — via ``on_die`` (the CLI SIGKILLs
     itself) or by hard-closing the socket — before any result ships,
@@ -857,15 +860,17 @@ def worker_loop(host: str, port: int, *, name: str | None = None,
                     on_die()
                 conn.kill()
                 return completed
-            _run_one(conn, frame, heartbeat_s)
-            if frame.get("_completed", True):
+            if _run_one(conn, frame, heartbeat_s):
                 completed += 1
+    except OSError:
+        return completed  # coordinator gone mid-conversation
     finally:
         conn.close()
 
 
-def _run_one(conn: FrameConn, frame: dict, heartbeat_s: float) -> None:
-    """Execute one cell frame, heartbeating while it computes."""
+def _run_one(conn: FrameConn, frame: dict, heartbeat_s: float) -> bool:
+    """Execute one cell frame, heartbeating while it computes; True if
+    the cell completed (its result shipped, not an error report)."""
     stop = threading.Event()
 
     def beat() -> None:
@@ -887,9 +892,8 @@ def _run_one(conn: FrameConn, frame: dict, heartbeat_s: float) -> None:
         conn.send({"type": "error", "id": frame["id"],
                    "error": f"{type(exc).__name__}: {exc}",
                    "traceback": traceback.format_exc()})
-        frame["_completed"] = False
-        return
+        return False
     stop.set()
     pinger.join()
     conn.send({"type": "result", "id": frame["id"], "payload": payload})
-    frame["_completed"] = True
+    return True

@@ -5,9 +5,9 @@ control traffic — one GRANT per scheduled data packet in the paper's
 simulator — is the dominant per-packet overhead at high load (it is the
 motivation for the batched grant pacer, ``HomaConfig.grant_batch_ns``).
 This collector sums the per-transport counters after a run so the
-reduction is measurable: ``benchmarks/bench_perf_hotpaths.py
---grant-batching`` records the legacy-vs-batched grant counts in
-``BENCH_hotpaths.json``.
+reduction is measurable: the ``grant`` arm of
+``benchmarks/bench_ablations.py`` (``python -m repro campaign
+ablations``) tabulates the GRANT count of each pacer setting.
 
 Counters are read with ``getattr(..., 0)`` so non-Homa transports (and
 future protocols without a given counter) participate with zeros.

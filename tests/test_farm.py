@@ -3,6 +3,7 @@ resumable journal, and the coordinator's retry/fallback semantics."""
 
 import json
 import socket
+import struct
 import threading
 import time
 
@@ -681,3 +682,47 @@ def test_stale_protocol_1_worker_is_refused_at_hello(tmp_path, rescue):
     can no longer decode: they must never be handed a cell."""
     assert PROTOCOL_VERSION == 2
     _refuse_skewed_worker(tmp_path, 1, rescue)
+
+
+#: set by the fake coordinator once it has reset the connection
+_COORDINATOR_GONE = threading.Event()
+
+
+def wait_for_reset_task(spec):
+    """A cell that is still computing when its coordinator goes away."""
+    assert _COORDINATOR_GONE.wait(timeout=30)
+    return {"value": spec["x"]}
+
+
+def test_worker_returns_when_coordinator_resets_mid_cell():
+    """A coordinator that hands out a cell and then closes with RST
+    while the worker computes is gone, just as at EOF: the worker's
+    result send fails, and ``worker_loop`` returns its count (0)."""
+    _COORDINATOR_GONE.clear()
+    server = socket.create_server(("127.0.0.1", 0))
+    port = server.getsockname()[1]
+
+    def coordinator():
+        sock, _ = server.accept()
+        conn = FrameConn(sock)
+        assert conn.recv()["type"] == "hello"
+        conn.send({"type": "welcome", "protocol": PROTOCOL_VERSION,
+                   "sweep": "reset"})
+        assert conn.recv()["type"] == "next"
+        conn.send({"type": "cell", "id": "c0", "campaign": "reset",
+                   "task": f"{__name__}:wait_for_reset_task",
+                   "spec": farm.encode_spec({"x": 3})})
+        # Linger 0: close sends RST instead of FIN.
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                        struct.pack("ii", 1, 0))
+        sock.close()
+        _COORDINATOR_GONE.set()
+
+    coord = threading.Thread(target=coordinator, daemon=True)
+    coord.start()
+    try:
+        assert farm.worker_loop("127.0.0.1", port, heartbeat_s=60) == 0
+    finally:
+        coord.join(timeout=30)
+        server.close()
+    assert not coord.is_alive()

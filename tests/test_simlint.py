@@ -768,6 +768,61 @@ def test_doc_drift_passes_when_every_pointer_resolves():
     assert rule_hits(DOC_POINTER_SRC, "doc-drift", docs=docs) == []
 
 
+SCRIPT_POINTER_SRC = '''
+    """Regenerate with benchmarks/bench_gone.py; globs such as
+    ``benchmarks/bench_figNN_*.py`` and benchmarks/perf/run.py pass."""
+
+    def regenerate():
+        return 0  # the numbers come from benchmarks/bench_gone_too.py
+'''
+
+SCRIPT_POINTER_DOC = ("# Numbers\n\n"
+                      "Regenerate with `benchmarks/bench_gone_doc.py`.\n")
+
+
+def script_pointer_project(src, *, present=()):
+    """The fixture module, empty modules at ``present``, and one doc
+    page under docs/ plus one root-level history file naming a script
+    that is gone."""
+    modules = [Module("src/repro/core/snippet.py", textwrap.dedent(src))]
+    modules += [Module(rel, "") for rel in present]
+    docs = {"docs/NUMBERS.md": SCRIPT_POINTER_DOC,
+            "CHANGES.md": "PR 9: deleted benchmarks/bench_history.py\n"}
+    return Project(modules, docs)
+
+
+def test_doc_drift_flags_pointers_to_missing_benchmark_scripts():
+    result = run(script_pointer_project(
+        SCRIPT_POINTER_SRC, present=["benchmarks/perf/run.py"]),
+        rules=["doc-drift"])
+    assert [(f.path, f.line, f.detail) for f in result.findings] == [
+        ("docs/NUMBERS.md", 3, "missing-script:benchmarks/bench_gone_doc.py"),
+        ("src/repro/core/snippet.py", 2,
+         "missing-script:benchmarks/bench_gone.py"),
+        ("src/repro/core/snippet.py", 6,
+         "missing-script:benchmarks/bench_gone_too.py")]
+
+
+def test_doc_drift_passes_when_every_script_pointer_resolves():
+    present = ["benchmarks/perf/run.py", "benchmarks/bench_gone.py",
+               "benchmarks/bench_gone_too.py", "benchmarks/bench_gone_doc.py"]
+    result = run(script_pointer_project(SCRIPT_POINTER_SRC, present=present),
+                 rules=["doc-drift"])
+    assert result.findings == []
+
+
+def test_doc_drift_pragma_waives_a_missing_script():
+    src = """
+        def regenerate():
+            return 0  # was benchmarks/bench_gone.py  # simlint: ok(doc-drift) — fixture: history
+        """
+    result = analyze_source(textwrap.dedent(src), rules=["doc-drift"],
+                            docs={})
+    assert result.findings == []
+    assert [f.detail for f in result.waived] == [
+        "missing-script:benchmarks/bench_gone.py"]
+
+
 # -- registry-hooks -----------------------------------------------------
 
 BASE_SRC = textwrap.dedent(
