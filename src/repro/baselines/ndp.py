@@ -60,7 +60,7 @@ class _NdpFlow:
     def __init__(self, msg: OutboundMessage) -> None:
         self.msg = msg
         self.pull_budget = 0
-        self.rtx: deque[tuple[int, int]] = deque()
+        self.rtx: list[tuple[int, int]] = []
         self.marked = False  # key is in the transport's ``_ready`` heap
 
     def sendable(self) -> bool:
@@ -131,7 +131,7 @@ class NdpTransport(Transport):
         msg = flow.msg
         if flow.rtx and flow.pull_budget > 0:
             flow.pull_budget -= 1
-            offset, size = flow.rtx.popleft()
+            offset, size = flow.rtx.pop(0)
             retx = True
         elif msg.sent < min(msg.unsched_limit, msg.length):
             offset = msg.sent
@@ -275,7 +275,7 @@ class NdpTransport(Transport):
         # A recovery credit: the pull that covered these bytes was spent
         # on a packet the fabric destroyed.
         flow.pull_budget += 1
-        flow.rtx.appendleft((offset, size))
+        flow.rtx.insert(0, (offset, size))
         self._mark(flow)
         self.kick()
 

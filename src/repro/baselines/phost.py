@@ -29,7 +29,6 @@ budget retires the message on both sides.
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import islice
 from typing import Optional
 
@@ -56,7 +55,7 @@ class _TokenBucket:
 
     def __init__(self) -> None:
         #: in expiry order: every token lives the same fixed ttl
-        self.deadlines: deque[int] = deque()
+        self.deadlines: list[int] = []
 
     def add(self, expiry_ps: int) -> None:
         self.deadlines.append(expiry_ps)
@@ -64,11 +63,11 @@ class _TokenBucket:
     def usable(self, now_ps: int) -> int:
         deadlines = self.deadlines
         while deadlines and deadlines[0] < now_ps:
-            deadlines.popleft()
+            deadlines.pop(0)  # simlint: ok(quadratic-pop) — a message held at most 17 tokens on any measured run; a deque costs 760 B per message (docs/PERFORMANCE.md, "Switch-port and NIC FIFOs")
         return len(deadlines)
 
     def spend(self) -> None:
-        self.deadlines.popleft()
+        self.deadlines.pop(0)  # simlint: ok(quadratic-pop) — a message held at most 17 tokens on any measured run; a deque costs 760 B per message (docs/PERFORMANCE.md, "Switch-port and NIC FIFOs")
 
 
 class PHostTransport(Transport):

@@ -16,12 +16,17 @@ Three port flavors cover every protocol in the paper:
 
 Ports support an optional ``probe`` (see ``PortProbe``) for metrics and
 optional per-packet delay attribution used by Figure 14.
+
+Every FIFO here is a plain ``list``: ``pop(0)`` serves the head.  The
+Figure 11 fabric builds 216 switch egress ports of 8 FIFOs each, an
+empty ``deque`` costs 760 B, and the ledger workloads never queue more
+than 137 packets in one FIFO (docs/PERFORMANCE.md, "Switch-port and
+NIC FIFOs").
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from heapq import heappush
 from typing import Callable, Optional
 
@@ -138,7 +143,8 @@ class QueuedPort(BasePort):
 
     ``qbytes`` (queued bytes, excluding the packet on the wire) is zero
     exactly when every queue is empty; a dequeue scans down from the
-    highest priority to the first non-empty queue.
+    highest priority to the first non-empty queue and pops its head.
+    ``flush`` frees every queued packet in FIFO order, then clears.
     """
 
     __slots__ = (
@@ -161,7 +167,7 @@ class QueuedPort(BasePort):
         preemptive: bool = False,
     ) -> None:
         super().__init__(sim, name, gbps, deliver, level)
-        self.queues: list[deque[Packet]] = [deque() for _ in range(N_PRIORITIES)]
+        self.queues: list[list[Packet]] = [[] for _ in range(N_PRIORITIES)]
         self.qbytes = 0
         self.prio_qbytes = [0] * N_PRIORITIES
         self.buffer_bytes = buffer_bytes
@@ -262,9 +268,10 @@ class QueuedPort(BasePort):
         """
         flushed = 0
         for queue in self.queues:
-            while queue:
-                free_packet(queue.popleft())
-                flushed += 1
+            for pkt in queue:
+                free_packet(pkt)
+            flushed += len(queue)
+            queue.clear()
         for pkt, _ in self._paused:
             free_packet(pkt)
             flushed += 1
@@ -329,7 +336,7 @@ class QueuedPort(BasePort):
         while not queues[prio]:
             prio -= 1
         queue = queues[prio]
-        pkt = queue.popleft()
+        pkt = queue.pop(0)
         self.qbytes -= pkt.wire
         if not self._vanilla:
             self.prio_qbytes[prio] -= pkt.wire
@@ -368,7 +375,7 @@ class QueuedPort(BasePort):
         if prio < 0:
             return
         queue = queues[prio]
-        pkt = queue.popleft()
+        pkt = queue.pop(0)
         self.qbytes -= pkt.wire
         if not self._vanilla:
             self.prio_qbytes[prio] -= pkt.wire

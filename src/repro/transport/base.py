@@ -27,7 +27,6 @@ slowdown digests byte-identical (default-off stays default-off).
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable, Iterable, Iterator, Optional
 
 from repro.core.engine import Simulator
@@ -162,7 +161,7 @@ class Transport:
         #: host id; set by bind() (a plain attribute, not a property:
         #: transports read it per packet)
         self.hid = None
-        self.ctrl: deque[Packet] = deque()
+        self.ctrl: list[Packet] = []
         #: called as fn(inbound_message, completion_time_ps)
         self.on_message_complete: Optional[Callable[[InboundMessage, int], None]] = None
         #: messages fully received (count; bodies reported via the hook)
@@ -237,7 +236,7 @@ class Transport:
     def next_packet(self) -> Optional[Packet]:
         """NIC pull: control first, then protocol-chosen data."""
         if self.ctrl:
-            return self.ctrl.popleft()
+            return self.ctrl.pop(0)  # simlint: ok(quadratic-pop) — a NIC control FIFO held at most 17 packets on any measured run; a deque costs 760 B per host (docs/PERFORMANCE.md, "Switch-port and NIC FIFOs")
         return self._next_data()
 
     def _next_data(self) -> Optional[Packet]:

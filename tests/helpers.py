@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
-
 from repro.core.engine import Simulator
 from repro.core.topology import NetworkConfig, build_fabric, build_network
 from repro.homa.config import HomaConfig
@@ -133,14 +131,13 @@ class FakeHost:
 
 def drain_ctrl(transport):
     """Pop and return every queued control packet."""
-    out = []
-    while transport.ctrl:
-        out.append(transport.ctrl.popleft())
+    out = list(transport.ctrl)
+    transport.ctrl.clear()
     return out
 
 
 def port_leftovers(port):
-    """What each list- or deque-valued slot of ``port`` still holds,
+    """What each list-valued slot of ``port`` still holds,
     for the slots that hold anything.  A list of per-priority queues
     holds what its queues hold; a list of per-priority byte counters
     holds its non-zero counters."""
@@ -148,11 +145,11 @@ def port_leftovers(port):
     for cls in type(port).__mro__:
         for name in getattr(cls, "__slots__", ()):
             value = getattr(port, name, None)
-            if not isinstance(value, (list, deque)):
+            if not isinstance(value, list):
                 continue
             items = []
             for item in value:
-                if isinstance(item, deque):
+                if isinstance(item, list):
                     items.extend(item)
                 elif item != 0:
                     items.append(item)

@@ -330,12 +330,14 @@ LOSSY_DIGESTS = {
 }
 
 
-def lossy_3level_spec(window_ms=0.4):
-    """16 hosts behind a 3-level fabric with 1% loss per tier and the
-    benchmark's fault schedule (a ToR uplink down, a core switch down,
-    the uplink back up) inside the traffic window."""
+def lossy_3level_spec(window_ms=0.4, hosts_per_rack=4):
+    """Four racks of ``hosts_per_rack`` hosts (16 by default) behind a
+    3-level fabric with 1% loss per tier and the benchmark's fault
+    schedule (a ToR uplink down, a core switch down, the uplink back
+    up) inside the traffic window."""
     return TopologySpec(
-        levels=3, pods=2, racks=2, hosts_per_rack=4, aggrs=2, cores=4,
+        levels=3, pods=2, racks=2, hosts_per_rack=hosts_per_rack, aggrs=2,
+        cores=4,
         host_gbps=10, aggr_gbps=25, core_gbps=100,
         loss=LossRates(tor=0.01, aggr=0.01, core=0.01),
         faults=(FaultEvent(0.35 * window_ms, "link", "down", "tor0:aggr0.1"),
