@@ -2,9 +2,9 @@
 
 ``HOT_FUNCTIONS`` is a manifest of the functions that run per event /
 per packet in the canonical 144-host benches: the event loop and
-schedulers, port enqueue/dequeue, the fused switch ingress, the packet
-pool, the Homa grant path, the senders' NIC pulls, the
-baselines' shared receiver, and the per-message sample recording.  Inside those functions we flag constructs
+schedulers, port enqueue/dequeue, the fused switch ingress, the Homa
+grant path, the senders' NIC pulls, the baselines' shared receiver,
+and the per-message sample recording.  Inside those functions we flag constructs
 that allocate or pay per call:
 
 * nested ``def`` / ``lambda``   — a fresh closure object per call;
@@ -63,13 +63,6 @@ HOT_FUNCTIONS: dict[str, frozenset[str]] = {
     "src/repro/core/topology.py": frozenset(
         {
             "Network._make_ingress.<locals>.ingress",
-        }
-    ),
-    "src/repro/core/pool.py": frozenset(
-        {
-            "PacketPool.alloc_data",
-            "PacketPool.alloc_ctrl",
-            "PacketPool.free",
         }
     ),
     "src/repro/homa/transport.py": frozenset(
@@ -279,8 +272,11 @@ def check_quadratic_pop(project: Project) -> list[Finding]:
 
     Both shift every remaining element, so a FIFO kept in a list costs
     O(queue length) per packet (the PIAS round-robin, pFabric's rtx
-    queue and pHost's token deadlines all did) — use
-    ``collections.deque``.  Scope: ``src/repro/``, receivers rooted at
+    queue and pHost's token deadlines all once did).  Keep a FIFO that
+    can grow long in a ``collections.deque``.  A per-object FIFO that
+    stays short is cheaper as a list (an empty deque costs 760 B):
+    waive it with a pragma citing its census bound
+    (docs/PERFORMANCE.md).  Scope: ``src/repro/``, receivers rooted at
     ``self`` or a local name bound to such an attribute.  A scratch
     list built inside the call is bounded by that call and stays
     silent, as does ``pop(0, default)`` (a dict).
@@ -321,8 +317,11 @@ def check_quadratic_pop(project: Project) -> list[Finding]:
                         detail=f"{method}:{text}",
                         message=(
                             f"{text}.{method}(0{', ...' * (method == 'insert')}) "
-                            f"shifts the whole list on every call; keep the "
-                            f"queue in a collections.deque"
+                            f"shifts the whole list on every call; use a "
+                            f"collections.deque for a FIFO that can grow "
+                            f"long, or waive a short per-object FIFO with a "
+                            f"pragma citing its census bound "
+                            f"(docs/PERFORMANCE.md)"
                         ),
                     )
                 )

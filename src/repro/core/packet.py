@@ -86,7 +86,7 @@ class Packet:
         "rpc_id", "is_request", "offset", "payload", "wire",
         "total_length", "sched", "retx", "incast", "ecn", "trimmed",
         "grant_offset", "grant_prio", "range_end", "cutoffs", "app_meta",
-        "created_ps", "q_wait", "p_wait", "msg_key", "pool", "slot",
+        "created_ps", "q_wait", "p_wait", "msg_key",
     )
 
     def __init__(
@@ -141,10 +141,6 @@ class Packet:
         self.created_ps = created_ps
         self.q_wait = 0
         self.p_wait = 0
-        # Pool identity: set once per slot by core/pool.py when the
-        # packet is pool-born; plain-constructed packets stay unpooled.
-        self.pool = None
-        self.slot = -1
         # Identity of the message this packet belongs to.  Homa messages
         # are halves of an RPC, so (rpc id, direction) is the message
         # identity — this is what lets a client RESEND a response whose

@@ -1,53 +1,32 @@
-"""Slot-pooled packet storage: the array-core allocator.
+"""A slot-pooled packet allocator that the simulator no longer uses.
 
-A ``PacketPool`` owns a preallocated block of packet *slots* and hands
-them out through a LIFO free-list, so the per-packet cost of the hot
-transports drops from "allocate a 27-field object, then deallocate it"
-to "pop a slot index and re-initialize the fields that differ".  Each
-slot is a regular :class:`~repro.core.packet.Packet` carrying its pool
-identity (``pkt.pool``, ``pkt.slot``), which keeps the whole attribute
-API intact for every consumer — ports, switches, metrics — while
-making allocation and recycling O(1) list ops.
-
-Why slots-as-objects instead of raw parallel ``array('q')`` columns:
-CPython boxes every ``array`` element on read, making it several times
-the cost of a slot attribute read (~3x, micro-timed at ``913018c``), so
-a packet represented as "an index into twenty int arrays" pays the
-boxing toll on every field touch in every hop.  The pool therefore keeps the
-*storage discipline* of a struct-of-arrays core — preallocation, index
-free-list, explicit recycle points, growth in deterministic chunks —
-and keeps the per-field representation in slot descriptors, which is
-the layout CPython actually reads fastest.  docs/PERFORMANCE.md
-("array core") has the numbers.
-
-Life cycle contract:
-
-* ``alloc_data`` / ``alloc_ctrl`` pop a free slot and fully
-  re-initialize every protocol-visible field, so a recycled packet is
-  indistinguishable from a freshly constructed one (the determinism
-  property tests in ``tests/test_pool.py`` pin this: digests are
-  byte-identical to unpooled construction).
-* ``free`` returns a slot once its packet has been *consumed* — for
-  Homa, when ``on_packet`` has dispatched it at the destination.  It
-  resets the flight-mutable fields (ECN/trim marks, wait accumulators)
-  and drops payload references; freeing a slot twice raises, freeing a
-  foreign packet is a checked error.
-* The pool grows by ``grow_chunk`` fresh slots whenever the free-list
-  runs dry (packets dropped by a lossy fabric are simply never freed),
-  so sizing is a performance knob, never a correctness limit
-  (docs/CONFIG.md: ``HomaConfig.pool_prealloc``).
+Every packet in a run is a plain :class:`~repro.core.packet.Packet`
+that lives and dies by reference counting: re-initializing and freeing
+a slot costs more bytecodes than constructing a packet, and the
+preallocated slots held ~1.2 MiB (docs/PERFORMANCE.md, "What each
+mechanism buys").  This module survives only because the frozen probe
+``benchmarks/perf/perf_trace.py`` imports ``PacketPool`` and times
+``alloc_data`` + ``free`` (``pool.alloc_free_ns``); the file and
+``tests/test_pool.py`` go with ROADMAP item 3a.  No module under
+``src/repro`` imports it.
 """
 
 from __future__ import annotations
 
-from repro.core.packet import (CTRL_PRIO, ETH_OVERHEAD, HEADER_BYTES,
-                               MIN_WIRE, Packet, PacketType)
+from repro.core.packet import (ETH_OVERHEAD, HEADER_BYTES, MIN_WIRE, Packet,
+                               PacketType)
 
 _OVERHEAD = HEADER_BYTES + ETH_OVERHEAD
 
 
+class _Slot(Packet):
+    """A packet that knows its pool and slot index."""
+
+    __slots__ = ("pool", "slot")
+
+
 class PacketPool:
-    """A free-list of recycled packet slots (see module docstring)."""
+    """A LIFO free-list of recycled packet slots."""
 
     __slots__ = ("slots", "live", "grow_chunk", "_free",
                  "data_allocs", "ctrl_allocs", "recycled", "grows")
@@ -68,10 +47,6 @@ class PacketPool:
         if prealloc:
             self._grow(prealloc)
             self.grows = 0  # preallocation is not growth
-
-    # ------------------------------------------------------------------
-    # allocation
-    # ------------------------------------------------------------------
 
     def alloc_data(self, src, dst, prio, payload, rpc_id, is_request, offset,
                    total_length, sched, retx, incast, app_meta, grant_offset,
@@ -106,48 +81,10 @@ class PacketPool:
         pkt.msg_key = (rpc_id << 1) | (1 if is_request else 0)
         return pkt
 
-    def alloc_ctrl(self, kind, src, dst, rpc_id, is_request,
-                   grant_offset=0, grant_prio=0, offset=0, range_end=0,
-                   cutoffs=None) -> Packet:
-        """A control packet (GRANT/RESEND/BUSY...): header-only frame."""
-        free = self._free
-        if not free:
-            self._grow(self.grow_chunk)
-        pkt = free.pop()
-        self.live[pkt.slot] = 1
-        self.ctrl_allocs += 1
-        pkt.src = src
-        pkt.dst = dst
-        pkt.kind = kind
-        pkt.prio = CTRL_PRIO
-        pkt.fine_prio = 0
-        pkt.rpc_id = rpc_id
-        pkt.is_request = is_request
-        pkt.offset = offset
-        pkt.payload = 0
-        pkt.wire = MIN_WIRE
-        pkt.total_length = 0
-        pkt.sched = False
-        pkt.retx = False
-        pkt.incast = False
-        pkt.grant_offset = grant_offset
-        pkt.grant_prio = grant_prio
-        pkt.range_end = range_end
-        pkt.cutoffs = cutoffs
-        pkt.app_meta = None
-        pkt.created_ps = 0
-        pkt.msg_key = (rpc_id << 1) | (1 if is_request else 0)
-        return pkt
-
-    # ------------------------------------------------------------------
-    # recycling
-    # ------------------------------------------------------------------
-
     def free(self, pkt: Packet) -> None:
-        """Return a consumed packet's slot to the free-list.
+        """Return a slot to the free-list, reset to constructor state.
 
-        Resets every field a hop may have mutated in flight, so the next
-        allocation from this slot starts from constructor state.
+        Freeing a slot twice, or a packet of another pool, raises.
         """
         if pkt.pool is not self:
             raise ValueError("packet does not belong to this pool")
@@ -165,10 +102,6 @@ class PacketPool:
         pkt.app_meta = None
         self._free.append(pkt)
 
-    # ------------------------------------------------------------------
-    # storage management / introspection
-    # ------------------------------------------------------------------
-
     def _grow(self, chunk: int) -> None:
         """Append ``chunk`` fresh slots (deterministic slot numbering)."""
         slots = self.slots
@@ -176,34 +109,9 @@ class PacketPool:
         base = len(slots)
         self.live.extend(b"\0" * chunk)
         for i in range(base, base + chunk):
-            pkt = Packet(0, 0, PacketType.DATA)
+            pkt = _Slot(0, 0, PacketType.DATA)
             pkt.pool = self
             pkt.slot = i
             slots.append(pkt)
             free.append(pkt)
         self.grows += 1
-
-    def in_flight(self) -> int:
-        """Number of slots currently handed out (cold: debugging/tests)."""
-        return len(self.slots) - len(self._free)
-
-    def stats(self) -> dict:
-        return {
-            "slots": len(self.slots),
-            "in_flight": self.in_flight(),
-            "data_allocs": self.data_allocs,
-            "ctrl_allocs": self.ctrl_allocs,
-            "recycled": self.recycled,
-            "grows": self.grows,
-        }
-
-
-def free_packet(pkt: Packet) -> None:
-    """Recycle ``pkt`` if pool-born; no-op for plain-constructed packets.
-
-    The safe consumption hook for code that may see packets from pooled
-    and unpooled transports alike.
-    """
-    pool = pkt.pool
-    if pool is not None:
-        pool.free(pkt)

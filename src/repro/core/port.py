@@ -32,7 +32,6 @@ from typing import Callable, Optional
 
 from repro.core.engine import Simulator
 from repro.core.packet import CTRL_PRIO, N_PRIORITIES, Packet, PacketType
-from repro.core.pool import free_packet
 from repro.core.units import ps_per_byte
 
 
@@ -144,7 +143,6 @@ class QueuedPort(BasePort):
     ``qbytes`` (queued bytes, excluding the packet on the wire) is zero
     exactly when every queue is empty; a dequeue scans down from the
     highest priority to the first non-empty queue and pops its head.
-    ``flush`` frees every queued packet in FIFO order, then clears.
     """
 
     __slots__ = (
@@ -261,20 +259,14 @@ class QueuedPort(BasePort):
         A link or switch fault kills the line card: whatever sat in its
         buffers is gone.  The packet currently serializing is untouched
         — its bits are already on the wire (a dead downstream switch
-        drops it at ingress instead).  Pooled packets recycle at the
-        drop point.  Returns the number of packets destroyed, which the
-        caller accounts (``Network.apply_fault`` credits the owning
-        switch's ``fault_drops``).
+        drops it at ingress instead).  Returns the number of packets
+        destroyed, which the caller accounts (``Network.apply_fault``
+        credits the owning switch's ``fault_drops``).
         """
-        flushed = 0
+        flushed = len(self._paused)
         for queue in self.queues:
-            for pkt in queue:
-                free_packet(pkt)
             flushed += len(queue)
             queue.clear()
-        for pkt, _ in self._paused:
-            free_packet(pkt)
-            flushed += 1
         self._paused.clear()
         self.qbytes = 0
         self.prio_qbytes = [0] * N_PRIORITIES
@@ -487,6 +479,15 @@ class PfabricPort(BasePort):
             if self.probe is not None:
                 self.probe.on_queue_change(self.sim.now, self.qbytes)
             self._transmit(pkt)
+
+    def flush(self) -> int:
+        """Destroy every queued packet (see ``QueuedPort.flush``)."""
+        flushed = len(self._heap)
+        self._heap.clear()
+        self.qbytes = 0
+        if flushed and self.probe is not None:
+            self.probe.on_queue_change(self.sim.now, 0)
+        return flushed
 
 
 def _drop_order(entry: tuple) -> tuple:

@@ -18,9 +18,6 @@ Fault-injection hooks (all default-off):
 * a fault can remove every viable egress (a dead downlink, or no live
   uplink left to spray over); the packet is then black-holed and
   counted in ``routed_drops``.
-
-Dropped pool-born packets are recycled immediately — a lossy run must
-not grow the pool by its drop count (``core/pool.py``).
 """
 
 from __future__ import annotations

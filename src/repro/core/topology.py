@@ -28,7 +28,6 @@ from repro.core.faults import (NO_FAULT_PS, FaultEvent, FaultInjector,
                                LossRates, install_loss)
 from repro.core.host import Host
 from repro.core.packet import FULL_WIRE, MAX_PAYLOAD, MIN_WIRE, Packet, wire_size
-from repro.core.pool import free_packet
 from repro.core.port import BasePort, PfabricPort, PullPort, QueuedPort
 from repro.core.switch import Switch
 from repro.core.units import NS, ps_per_byte
@@ -230,11 +229,9 @@ class Network:
         def ingress(pkt: Packet) -> None:
             if switch.dead:
                 switch.fault_drops += 1
-                free_packet(pkt)
                 return
             if switch.drop_filter is not None and switch.drop_filter(pkt):
                 switch.injected_drops += 1
-                free_packet(pkt)
                 return
             port = table[pkt.dst]
             if not port:
@@ -254,7 +251,6 @@ class Network:
                 else:
                     # A fault removed every viable egress: black hole.
                     switch.routed_drops += 1
-                    free_packet(pkt)
                     return
             if delay == 0:
                 port.enqueue(pkt)

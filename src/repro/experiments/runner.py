@@ -292,8 +292,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         sim.schedule_at(gen_end_ps, sample_backlog, 1)
 
     # The event loop allocates heavily but almost never creates
-    # reference cycles (events are flat lists, packets are pooled), so
-    # generational GC only burns time walking the live object graph.
+    # reference cycles (events are flat lists, packets hold only plain
+    # values and die by reference count), so generational GC only burns
+    # time walking the live object graph.
     # Suspend it for the run and sweep the stragglers once at the end.
     gc_was_enabled = gc.isenabled()
     if gc_was_enabled:

@@ -83,12 +83,6 @@ class HomaConfig:
     #: ``benchmarks/bench_ablations.py`` and docs/PERFORMANCE.md for
     #: the comparison against the timer-based pacer.
     grant_batch_pkts: int = 0
-    #: packet slots preallocated by the shared per-run PacketPool
-    #: (core/pool.py).  Purely a performance knob: the pool grows in
-    #: deterministic chunks when more packets are in flight than slots,
-    #: so behavior and digests never depend on the value.  The default
-    #: covers the paper-scale 144-host topology with no growth.
-    pool_prealloc: int = 4096
 
     def resolved_unsched_limit(self, rtt_bytes: int) -> int:
         """Unscheduled byte limit, packet-aligned unless overridden."""

@@ -30,8 +30,7 @@ from heapq import nsmallest
 from typing import Callable, Optional
 
 from repro.core.engine import Simulator
-from repro.core.packet import MAX_PAYLOAD, Packet, PacketType
-from repro.core.pool import PacketPool
+from repro.core.packet import CTRL_PRIO, MAX_PAYLOAD, Packet, PacketType
 from repro.core.units import NS, ps_per_byte
 from repro.homa.config import HomaConfig
 from repro.homa.priorities import (
@@ -110,16 +109,10 @@ class HomaTransport(Transport):
         allocation: PriorityAllocation,
         rtt_bytes: int,
         link_gbps: int = 10,
-        pool: PacketPool | None = None,
         peer_gc: bool = False,
     ) -> None:
         super().__init__(sim)
         self.cfg = cfg
-        # Slot pool for every packet this transport emits; normally the
-        # per-run pool shared across hosts (transport/registry.py) so
-        # receivers recycle senders' slots.  A private pool is only a
-        # fallback for directly constructed transports in tests.
-        self.pool = pool if pool is not None else PacketPool(cfg.pool_prealloc)
         self.alloc = allocation
         self.rtt_bytes = rtt_bytes
         self.unsched_limit = cfg.resolved_unsched_limit(self.rtt_bytes)
@@ -295,8 +288,8 @@ class HomaTransport(Transport):
             alloc = self.peer_alloc.get(msg.dst, self.alloc)
             prio = alloc.unsched_prio(msg.length)
         unsched = msg.unsched_limit
-        return self.pool.alloc_data(
-            self.hid, msg.dst,
+        return Packet(
+            self.hid, msg.dst, PacketType.DATA,
             prio, size, msg.rpc_id, msg.is_request, offset,
             msg.length, sched, is_rtx, msg.incast, msg.app_meta,
             msg.length if msg.length < unsched else unsched,
@@ -332,12 +325,6 @@ class HomaTransport(Transport):
             self._on_busy(pkt)
         else:  # pragma: no cover - no other kinds reach a Homa host
             raise ValueError(f"unexpected packet kind {kind}")
-        # Delivery is the packet's consumption point: every handler
-        # above reads fields synchronously and retains none, so the
-        # slot recycles here (foreign/plain packets are a no-op).
-        pool = pkt.pool
-        if pool is not None:
-            pool.free(pkt)
 
     def _on_data(self, pkt: Packet) -> None:
         key = pkt.msg_key
@@ -523,11 +510,14 @@ class HomaTransport(Transport):
 
     def _grant_packet(self, msg: InboundMessage, new_grant: int, prio: int,
                       cutoffs: tuple | None) -> Packet:
-        # One per granted data packet: a recycled slot re-initialized
-        # by the pool (the flight-mutable fields were reset at free).
-        return self.pool.alloc_ctrl(
-            PacketType.GRANT, self.hid, msg.src, msg.rpc_id, msg.is_request,
-            new_grant, prio, 0, 0, cutoffs)
+        # One per granted data packet in per-packet mode, so positional:
+        # prio, payload, rpc_id, is_request, offset, total_length, sched,
+        # retx, incast, app_meta, grant_offset, created_ps, grant_prio,
+        # range_end, fine_prio, cutoffs (the Packet.__init__ order).
+        return Packet(
+            self.hid, msg.src, PacketType.GRANT, CTRL_PRIO, 0, msg.rpc_id,
+            msg.is_request, 0, 0, False, False, False, None, new_grant, 0,
+            prio, 0, 0, cutoffs)
 
     def _set_withheld(self, withheld: bool) -> None:
         if withheld != self._withheld:
@@ -592,9 +582,9 @@ class HomaTransport(Transport):
                     # request; the RPC will re-execute (sections 3.7/3.8).
                     self.reexecutions += 1
                     self.resends_sent += 1
-                    self.send_ctrl(self.pool.alloc_ctrl(
-                        PacketType.RESEND, self.hid, pkt.src,
-                        pkt.rpc_id, True, offset=0,
+                    self.send_ctrl(Packet(
+                        self.hid, pkt.src, PacketType.RESEND,
+                        rpc_id=pkt.rpc_id, is_request=True,
                         range_end=self.rtt_bytes))
             elif pkt.grant_offset > 0:
                 # RESEND for a request we no longer track: a fully-sent
@@ -681,9 +671,9 @@ class HomaTransport(Transport):
 
     def _send_busy(self, resend: Packet) -> None:
         self.busys_sent += 1
-        self.send_ctrl(self.pool.alloc_ctrl(
-            PacketType.BUSY, self.hid, resend.src,
-            resend.rpc_id, resend.is_request))
+        self.send_ctrl(Packet(
+            self.hid, resend.src, PacketType.BUSY,
+            rpc_id=resend.rpc_id, is_request=resend.is_request))
 
     def _on_busy(self, pkt: Packet) -> None:
         # BUSY is proof the peer is alive, exactly like data progress
@@ -746,9 +736,9 @@ class HomaTransport(Transport):
             # the sender has already discarded its state (a fully-sent
             # one-way message), it can resurrect a ghost outbound for
             # exactly the missing range (_on_resend).
-            self.send_ctrl(self.pool.alloc_ctrl(
-                PacketType.RESEND, self.hid, msg.src,
-                msg.rpc_id, msg.is_request,
+            self.send_ctrl(Packet(
+                self.hid, msg.src, PacketType.RESEND,
+                rpc_id=msg.rpc_id, is_request=msg.is_request,
                 grant_offset=msg.length,
                 offset=gap[0], range_end=gap[1]))
         # Client side: responses that never started arriving.
@@ -777,9 +767,10 @@ class HomaTransport(Transport):
             # RESEND for the response, even though the request may have
             # been lost; the server answers RESEND-for-request if so.
             self.resends_sent += 1
-            self.send_ctrl(self.pool.alloc_ctrl(
-                PacketType.RESEND, self.hid, rpc.dst,
-                rpc.rpc_id, False, offset=0, range_end=self.rtt_bytes))
+            self.send_ctrl(Packet(
+                self.hid, rpc.dst, PacketType.RESEND,
+                rpc_id=rpc.rpc_id, is_request=False,
+                range_end=self.rtt_bytes))
         # Sender side (peer-liveness GC, degraded fabrics only): an
         # outbound message stalled at its grant limit whose peer stopped
         # granting.  Responses to a dead client and one-way requests to

@@ -12,7 +12,6 @@ from typing import Callable
 
 from repro.core.engine import Simulator
 from repro.core.packet import FULL_WIRE
-from repro.core.pool import PacketPool
 from repro.core.topology import Network
 from repro.transport.base import RecoveryConfig
 from repro.baselines.ndp import NdpTransport
@@ -86,11 +85,8 @@ def transport_factory(
             n_sched_override=cfg.n_sched_override,
             cutoff_override=cfg.cutoff_override,
         )
-        # One slot pool per run, shared by every host: packets recycle
-        # at their destination regardless of which sender drew them.
-        pool = PacketPool(cfg.pool_prealloc)
         return lambda host: HomaTransport(sim, cfg, alloc, rtt_bytes,
-                                          link_gbps=host_gbps, pool=pool,
+                                          link_gbps=host_gbps,
                                           peer_gc=may_drop)
 
     if protocol == "pfabric":

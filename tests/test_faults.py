@@ -287,11 +287,9 @@ def test_link_down_flushes_queue_into_fault_drops():
     assert net.reroutes > before       # spray set shrank
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "model bug (ROADMAP item 1): PfabricPort inherits BasePort.flush, "
-    "which destroys nothing, so a dead link's pFabric queue drains "
-    "across it"))
 def test_link_down_flushes_pfabric_queue_into_fault_drops():
+    """A dead link destroys a pFabric port's queue too: nothing drains
+    across it after the fault."""
     sim, net, transports = fabric_cluster(NARROW3, queue_mode="pfabric")
     transports[0].send_message(2, 50_000)
     transports[1].send_message(3, 50_000)

@@ -288,3 +288,21 @@ def test_stream_lossy_3level_delivers_at_most_once(protocol, seed):
         warmup_ms=0.5, drain_ms=20.0, seed=seed,
         fabric=lossy_3level_spec(window_ms=1.5, hosts_per_rack=8)))
     assert result.completed <= result.submitted
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: pHost strands messages on a clean fabric (45 of "
+    "9,234, 48 of 9,226 and 41 of 9,176 undelivered at seeds 1-3, no "
+    "duplicates).  Tokens expire unused at a busy sender and the "
+    "receiver never re-issues them.  Delete this mark with the fix."))
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_phost_clean_fabric_strands_nothing(seed):
+    """pHost W3@0.5 on a clean 2x4 fabric, 1 ms of traffic and a 100 ms
+    drain: every submitted message must be delivered."""
+    from repro.experiments.runner import ExperimentConfig, run_experiment
+
+    result = run_experiment(ExperimentConfig(
+        protocol="phost", workload="W3", load=0.5,
+        racks=2, hosts_per_rack=4, aggrs=2,
+        duration_ms=1.0, drain_ms=100.0, seed=seed))
+    assert result.pending == 0

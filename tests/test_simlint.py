@@ -401,6 +401,7 @@ def test_quadratic_pop_flags_front_shifts_on_object_state():
         "pop:self._rr", "insert:self.conn.queue", "pop:ring"]
     assert all(f.scope == "Sender.pull" for f in hits)
     assert "collections.deque" in hits[0].message
+    assert "census bound" in hits[0].message
 
 
 def test_quadratic_pop_ignores_deques_dicts_scratch_lists_and_tests():
