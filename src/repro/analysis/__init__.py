@@ -27,15 +27,9 @@ from repro.analysis.core import (
 
 # Importing the rule modules registers their rules.
 from repro.analysis import (  # noqa: E402  (registration side effects)
-    rules_campaign,
     rules_determinism,
     rules_docs,
-    rules_faults,
     rules_hotpath,
-    rules_payload,
-    rules_registry,
-    rules_sched,
-    rules_units,
 )
 
 __all__ = [
@@ -56,13 +50,7 @@ __all__ = [
     "load_baseline",
     "run",
     "write_baseline",
-    "rules_campaign",
     "rules_determinism",
     "rules_docs",
-    "rules_faults",
     "rules_hotpath",
-    "rules_payload",
-    "rules_registry",
-    "rules_sched",
-    "rules_units",
 ]

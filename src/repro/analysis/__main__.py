@@ -29,7 +29,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro.analysis",
         description=(
             "simlint: stdlib-ast checks for the simulator's determinism, "
-            "hot-path and payload contracts (docs/STATIC_ANALYSIS.md)"
+            "hot-path and doc-drift contracts (docs/STATIC_ANALYSIS.md)"
         ),
     )
     parser.add_argument(

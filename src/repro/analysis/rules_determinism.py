@@ -1,18 +1,15 @@
 """Determinism rules.
 
 The repo's headline contract is byte-identical slowdown digests across
-every refactor of the event core (see docs/PERFORMANCE.md).  Everything
-here exists to keep nondeterminism out of that core statically, before
-a digest test can catch it dynamically:
+every refactor of the event core (see docs/PERFORMANCE.md).  The pinned
+digests catch nondeterminism only where they run; these rules catch it
+statically at the sites no digest reaches (docs/STATIC_ANALYSIS.md
+cites one such site per rule):
 
 * ``det-unseeded-rng``   — global/unseeded random sources, anywhere.
 * ``det-wallclock``      — wall-clock reads inside simulation packages.
 * ``det-set-order``      — iterating raw sets (or ``.keys()``) where the
                            order can feed event scheduling.
-* ``det-id-order``       — ``id()``-based ordering (memory addresses
-                           vary run to run).
-* ``det-float-time-eq``  — float ``==``/``!=`` against integer ``_ps``
-                           timestamps in comparator code.
 """
 
 from __future__ import annotations
@@ -243,107 +240,4 @@ def check_set_order(project: Project) -> list[Finding]:
                 name = canonical_call(node, imports)
                 if name in _ORDER_SENSITIVE_WRAPPERS and node.args:
                     flag(node.args[0], f"{name}(...)")
-    return out
-
-
-@rule("det-id-order")
-def check_id_order(project: Project) -> list[Finding]:
-    """No ``id()``-based ordering (``sorted(key=id)`` and friends).
-
-    ``id()`` is a memory address: stable within a process, different
-    across runs, so any ordering derived from it is nondeterministic.
-    Use a stable key (hid, port name, sequence number) instead.
-    Applies to src, tests, benchmarks and examples alike — test
-    assertions that order by ``id()`` can flake under a different
-    allocator.
-    """
-    out: list[Finding] = []
-    for mod in project.modules:
-        for node in ast.walk(mod.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            target = None
-            if isinstance(node.func, ast.Name) and node.func.id in (
-                "sorted",
-                "min",
-                "max",
-            ):
-                target = node.func.id
-            elif isinstance(node.func, ast.Attribute) and node.func.attr == "sort":
-                target = "sort"
-            if target is None:
-                continue
-            uses_id = any(
-                (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name) and sub.func.id == "id")
-                or (isinstance(sub, ast.keyword) and isinstance(sub.value, ast.Name) and sub.value.id == "id")
-                for sub in ast.walk(node)
-            )
-            if uses_id:
-                out.append(
-                    _finding(
-                        mod,
-                        node,
-                        "det-id-order",
-                        compact(node),
-                        f"{target}(...) orders by id() — a memory address "
-                        f"that varies across runs; use a stable key",
-                    )
-                )
-    return out
-
-
-def _is_ps_operand(node: ast.AST) -> bool:
-    name = None
-    if isinstance(node, ast.Name):
-        name = node.id
-    elif isinstance(node, ast.Attribute):
-        name = node.attr
-    return name is not None and (name == "now" or name.endswith("_ps"))
-
-
-def _is_floatish(node: ast.AST) -> bool:
-    if isinstance(node, ast.Constant) and isinstance(node.value, float):
-        return True
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
-        return True
-    return any(
-        isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Div)
-        for sub in ast.walk(node)
-    )
-
-
-@rule("det-float-time-eq")
-def check_float_time_eq(project: Project) -> list[Finding]:
-    """No float ``==``/``!=`` against ``_ps`` timestamps in src/repro.
-
-    Simulated time is *integer* picoseconds precisely so equality is
-    exact (the engine's event comparators and arrival fusion rely on
-    it).  Comparing a ``_ps`` value against a float literal, a true
-    division, or ``float(...)`` re-introduces rounding: two events meant
-    to coincide stop comparing equal.  Use integer arithmetic (``//``,
-    ``units.ns_to_ps``) on both sides.
-    """
-    out: list[Finding] = []
-    for mod in project.modules:
-        if not mod.rel.startswith("src/repro/"):
-            continue
-        for node in ast.walk(mod.tree):
-            if not isinstance(node, ast.Compare):
-                continue
-            if not any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
-                continue
-            operands = [node.left, *node.comparators]
-            if any(_is_ps_operand(o) for o in operands) and any(
-                _is_floatish(o) for o in operands
-            ):
-                out.append(
-                    _finding(
-                        mod,
-                        node,
-                        "det-float-time-eq",
-                        compact(node),
-                        "float equality against an integer _ps timestamp; "
-                        "keep both sides integer picoseconds",
-                    )
-                )
     return out

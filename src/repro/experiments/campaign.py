@@ -18,10 +18,11 @@ Three properties the benchmarks rely on:
   same JSON payload round-trip (`ExperimentResult.to_payload`).
 * **Cache stability** — the cache key is a stable hash of the cell's
   canonicalized spec plus a fingerprint of the simulator source
-  (every ``src/repro/**/*.py``, and the task's own module when it lives
-  outside the package).  Re-running a figure after an unrelated edit
-  (docs, tests, other benchmarks) is a cache hit; touching simulator
-  code invalidates everything, which is the conservative direction.
+  (every ``src/repro/**/*.py`` but the ``analysis/`` linter, and the
+  task's own module when it lives outside the package).  Re-running a
+  figure after an unrelated edit (docs, tests, other benchmarks, lint
+  rules) is a cache hit; touching simulator code invalidates
+  everything, which is the conservative direction.
   An entry whose payload will not decode is a miss: the cell is
   recomputed and the entry rewritten.
 * **Attribution** — a failing cell surfaces its campaign, key, and
@@ -161,10 +162,12 @@ _fingerprints: dict[str, str] = {}
 
 
 def code_fingerprint() -> str:
-    """Content hash of every ``.py`` file in the ``repro`` package.
+    """Content hash of every ``.py`` file in the ``repro`` package
+    except the ``analysis/`` linter, which no simulation imports.
 
     Any simulator edit invalidates the whole cache; edits outside
-    ``src/repro`` (docs, tests, benchmark rendering) do not.
+    ``src/repro`` (docs, tests, benchmark rendering) and lint edits do
+    not.
     """
     cached = _fingerprints.get("")
     if cached is not None:
@@ -172,7 +175,10 @@ def code_fingerprint() -> str:
     package_root = Path(__file__).resolve().parents[1]
     digest = hashlib.sha256()
     for path in sorted(package_root.rglob("*.py")):
-        digest.update(str(path.relative_to(package_root)).encode())
+        rel = path.relative_to(package_root)
+        if rel.parts[0] == "analysis":
+            continue
+        digest.update(str(rel).encode())
         digest.update(b"\0")
         digest.update(path.read_bytes())
         digest.update(b"\0")

@@ -9,15 +9,11 @@ A run is *stable* when nearly everything submitted finishes within the
 drain window.  We sweep an ascending load grid and report the last
 stable point, plus the application-goodput share there.
 
-The sweep comes in two shapes sharing one collation:
-
-* :func:`find_max_load` — serial, with the classic early break at the
-  first unstable probe (open-loop: higher loads stay unstable);
-* a **speculative shard** — :func:`probe_config` builds every grid
-  point as an independent campaign cell, all probed in parallel, and
-  :func:`collate_max_load` applies the same last-stable semantics to
-  the collected results (probes past the first unstable point are
-  discarded, so the output is identical to the serial sweep).
+The sweep is a **speculative shard**: :func:`probe_config` builds
+every grid point as an independent campaign cell, all probed in
+parallel, and :func:`collate_max_load` applies last-stable semantics to
+the collected results (probes past the first unstable point are
+discarded: open-loop, higher loads stay unstable).
 """
 
 from __future__ import annotations
@@ -25,11 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from repro.experiments.runner import (
-    ExperimentConfig,
-    ExperimentResult,
-    run_experiment,
-)
+from repro.experiments.runner import ExperimentConfig, ExperimentResult
 
 #: fraction of submitted messages that must complete for stability
 STABLE_FINISH_RATE = 0.90
@@ -106,18 +98,3 @@ def collate_max_load(
         app_utilization=best_result.app_utilization,
         probes=probes,
     )
-
-
-def find_max_load(
-    base: ExperimentConfig,
-    *,
-    grid: tuple[float, ...] = (0.5, 0.6, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95),
-) -> MaxLoadResult:
-    """Serial ascending sweep; returns the last stable grid point."""
-    results: list[ExperimentResult] = []
-    for load in grid:
-        result = run_experiment(probe_config(base, load))
-        results.append(result)
-        if not probe_stable(result):
-            break
-    return collate_max_load(grid, results)

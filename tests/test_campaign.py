@@ -1,7 +1,9 @@
 """Tests for the campaign subsystem: payload round-trips, the shard
-scheduler's determinism, the on-disk cache, and max-load collation."""
+scheduler's determinism, the on-disk cache, max-load collation, and
+the registration of every bench module as a campaign."""
 
 import dataclasses
+import importlib
 import json
 import os
 import shutil
@@ -14,12 +16,8 @@ import pytest
 from repro.core.faults import FaultEvent, LossRates
 from repro.core.topology import TopologySpec
 from repro.experiments import campaign, farm
-from repro.experiments.maxload import (
-    MaxLoadResult,
-    collate_max_load,
-    find_max_load,
-    probe_config,
-)
+from repro.experiments.maxload import collate_max_load, probe_config
+from repro.experiments.paper_data import CAMPAIGNS
 from repro.experiments.runner import (
     ExperimentConfig,
     ExperimentResult,
@@ -83,31 +81,59 @@ def test_result_payload_round_trip_is_exact():
     assert back.delay_breakdown == result.delay_breakdown
 
 
+def _assert_every_field_set(obj) -> None:
+    """Every dataclass field of ``obj`` that has a default holds a
+    non-default value, so a field a payload pair drops cannot survive
+    the round trip by falling back to the value it already had."""
+    for f in dataclasses.fields(obj):
+        if f.default is not dataclasses.MISSING:
+            default = f.default
+        elif f.default_factory is not dataclasses.MISSING:
+            default = f.default_factory()
+        else:
+            continue
+        assert getattr(obj, f.name) != default, (
+            f"fixture must set a non-default {type(obj).__name__}.{f.name} "
+            f"(new field? extend this test and the payload pair)")
+
+
 def test_payload_round_trip_covers_every_field():
-    """Dynamic complement of simlint's static payload-roundtrip rule:
-    set EVERY dataclass field of ExperimentConfig and ExperimentResult
-    to a non-default value and require an exact JSON round-trip.  A
-    field silently dropped by a to_payload/from_payload pair corrupts
-    the on-disk campaign cache — the rerun "hits" with a default where
-    measured data should be — and this test fails loudly the moment a
-    new field is added without extending both the pair and this test."""
+    """Set EVERY dataclass field of ExperimentConfig and ExperimentResult,
+    and of every class they carry through a to_payload/from_payload pair
+    (HomaConfig, TopologySpec, LossRates, FaultEvent, ControlTraffic,
+    FabricHealth, SlowdownTracker), to a non-default value and require an
+    exact JSON round-trip.  A field silently dropped by a payload pair
+    corrupts the on-disk campaign cache — the rerun "hits" with a default
+    where measured data should be — and this test fails loudly the moment
+    a new field is added without extending both the pair and this test."""
+    # Checked against dropping "switch_delay_ns" from TopologySpec.to_payload.
     cfg = ExperimentConfig(
         protocol="pfabric", workload="W4", load=0.55, racks=2,
         hosts_per_rack=3, aggrs=1, duration_ms=2.5, warmup_ms=0.5,
         drain_ms=1.5, seed=7, mode="rpc_echo", max_messages=9,
-        homa=HomaConfig(n_prios=4, cutoff_override=(100, 16129)),
+        homa=HomaConfig(
+            n_prios=4, unsched_limit=5000, n_unsched_override=2,
+            n_sched_override=2, cutoff_override=(100, 16129),
+            overcommit_override=3, unlimited_overcommit=True,
+            resend_interval_ps=3_000_000_000, max_resends=7,
+            incast_threshold=8, incast_response_unsched=500,
+            incast_control=False, online_priorities=True,
+            online_refresh_ps=7_000_000_000, grant_oldest=True,
+            grant_batch_ns=2000, grant_batch_pkts=4),
         collect=("queues",), net_overrides={"preemptive_links": True},
         fabric=TopologySpec(
-            levels=3, pods=2, racks=2, hosts_per_rack=4, aggrs=2,
-            cores=4, host_gbps=10, aggr_gbps=25, core_gbps=100,
+            levels=3, pods=2, racks=2, hosts_per_rack=4, aggrs=4,
+            cores=8, host_gbps=20, aggr_gbps=25, core_gbps=40,
+            switch_delay_ns=300, software_delay_ns=1000,
             loss=LossRates(tor=0.01, aggr=0.02, core=0.03),
             faults=(FaultEvent(1.5, "link", "down", "tor0:aggr0.1"),
                     FaultEvent(2.5, "switch", "down", "core3"))))
-    cfg_defaults = ExperimentConfig()
-    for f in dataclasses.fields(ExperimentConfig):
-        assert getattr(cfg, f.name) != getattr(cfg_defaults, f.name), (
-            f"fixture must set a non-default {f.name} "
-            f"(new field? extend this test and the payload pair)")
+    for obj in (cfg, cfg.homa, cfg.fabric, cfg.fabric.loss,
+                *cfg.fabric.faults):
+        _assert_every_field_set(obj)
+    for obj in (cfg.fabric, cfg.fabric.loss, *cfg.fabric.faults):
+        assert type(obj).from_payload(
+            json.loads(json.dumps(obj.to_payload()))) == obj
     back = ExperimentConfig.from_payload(
         json.loads(json.dumps(cfg.to_payload())))
     assert back == cfg
@@ -126,28 +152,27 @@ def test_payload_round_trip_covers_every_field():
         delay_breakdown=(1.25, 2.5), aborted=2,
         control=ControlTraffic(grants=3, resends=2, busys=1,
                                grant_ticks=4, rtx_data=6, rtx_recovered=5,
-                               give_ups=1),
+                               give_ups=1, outbound_give_ups=8),
         backlog_mid_bytes=11, backlog_end_bytes=22,
         fabric=FabricHealth(drops_tor=1, drops_aggr=2, drops_core=3,
                             fault_drops=4, black_holes=5, reroutes=6,
                             faults_applied=7))
-    for f in dataclasses.fields(ExperimentResult):
-        if f.default is not dataclasses.MISSING:
-            assert getattr(result, f.name) != f.default, (
-                f"fixture must set a non-default {f.name}")
-        elif f.default_factory is not dataclasses.MISSING:
-            assert getattr(result, f.name) != f.default_factory(), (
-                f"fixture must set a non-default {f.name}")
+    for obj in (result, result.control, result.fabric):
+        _assert_every_field_set(obj)
+    for obj in (result.control, result.fabric):
+        assert type(obj).from_payload(
+            json.loads(json.dumps(obj.to_payload()))) == obj
     back = ExperimentResult.from_payload(
         json.loads(json.dumps(result.to_payload())))
     assert back.to_payload() == result.to_payload()
     assert (back.tracker.warmup_ps, back.tracker.sizes,
             back.tracker.slowdowns) == (
         123, array("q", [100, 200]), array("d", [1.5, 2.5]))
-    assert back.cfg == cfg
+    for f in dataclasses.fields(ExperimentResult):
+        if f.name != "tracker":
+            assert getattr(back, f.name) == getattr(result, f.name), f.name
     assert isinstance(back.delay_breakdown, tuple)
     assert isinstance(back.cfg.collect, tuple)
-    assert back.control == result.control
 
 
 def test_tracker_from_payload_reports_without_net():
@@ -160,6 +185,28 @@ def test_tracker_from_payload_reports_without_net():
 
 
 # -- stable hashing ------------------------------------------------------
+
+
+def test_code_fingerprint_ignores_lint_edits(tmp_path, monkeypatch):
+    """simlint (``repro/analysis/``) is imported by no simulation, so
+    editing it must not invalidate cached cells; a simulator edit must."""
+    package = tmp_path / "repro"
+    shutil.copytree(Path(campaign.__file__).resolve().parents[1], package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.setattr(campaign, "__file__",
+                        str(package / "experiments" / "campaign.py"))
+
+    def fingerprint():
+        monkeypatch.setattr(campaign, "_fingerprints", {})
+        return campaign.code_fingerprint()
+
+    before = fingerprint()
+    with open(package / "analysis" / "core.py", "a") as fh:
+        fh.write("# a lint edit\n")
+    assert fingerprint() == before
+    with open(package / "core" / "engine.py", "a") as fh:
+        fh.write("# a simulator edit\n")
+    assert fingerprint() != before
 
 
 def test_cell_hash_stable_and_config_sensitive():
@@ -486,19 +533,26 @@ def test_collate_max_load_requires_probes():
         collate_max_load((0.5,), [])
 
 
-def test_find_max_load_equals_speculative_collation():
-    """The serial early-break sweep and the probe-everything collation
-    agree exactly on the same grid."""
-    base = small_cfg(workload="W2", duration_ms=1.5)
-    grid = (0.3, 0.5)
-    serial = find_max_load(base, grid=grid)
-    speculative = collate_max_load(
-        grid, [run_experiment(probe_config(base, load)) for load in grid])
-    assert isinstance(serial, MaxLoadResult)
-    assert serial.max_load == speculative.max_load
-    assert serial.total_utilization == speculative.total_utilization
-    # Serial probes are a prefix of the speculative ones.
-    assert serial.probes == speculative.probes[:len(serial.probes)]
+# -- campaign registration -----------------------------------------------
+
+
+def test_every_bench_module_is_a_registered_complete_campaign(monkeypatch):
+    """``python -m repro campaign`` and ``--farm`` reach a figure only
+    through ``paper_data.CAMPAIGNS``, and pool its cells through the
+    module's ``campaign_specs()`` / ``campaign_spec()``.  A bench module
+    missing from either runs fine standalone while silently dropping out
+    of ``campaign all`` and the pooled cache warm-up."""
+    # Checked against deleting the "fig18" entry from paper_data.CAMPAIGNS.
+    bench_dir = Path(__file__).resolve().parents[1] / "benchmarks"
+    on_disk = {path.stem for path in bench_dir.glob("bench_*.py")}
+    registered = {module for module, _ in CAMPAIGNS.values()}
+    assert on_disk - registered == set(), "not in paper_data.CAMPAIGNS"
+    monkeypatch.syspath_prepend(str(bench_dir))
+    for name in sorted(registered):
+        module = importlib.import_module(name)
+        assert callable(getattr(module, "run_figure", None)), name
+        assert (hasattr(module, "campaign_specs")
+                or hasattr(module, "campaign_spec")), name
 
 
 # -- cross-figure pooling ------------------------------------------------

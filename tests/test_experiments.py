@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.topology import TopologySpec
-from repro.experiments.maxload import find_max_load
+from repro.experiments.maxload import collate_max_load, probe_config
 from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.experiments.scale import (
     SCALES,
@@ -79,16 +79,22 @@ def quick_base(**kw):
         duration_ms=1.5, warmup_ms=0.0, drain_ms=5.0, **kw)
 
 
-def test_find_max_load_returns_stable_point():
-    result = find_max_load(quick_base(), grid=(0.3, 0.5))
+def sweep_max_load(base, grid):
+    """Probe every grid load and collate, as the fig15 campaign does."""
+    return collate_max_load(
+        grid, [run_experiment(probe_config(base, load)) for load in grid])
+
+
+def test_collate_max_load_returns_stable_point():
+    result = sweep_max_load(quick_base(), (0.3, 0.5))
     assert result.max_load in (0.3, 0.5)
     assert result.protocol == "homa"
     assert 0.0 < result.total_utilization <= 1.0
     assert len(result.probes) >= 1
 
 
-def test_find_max_load_probe_ordering():
-    result = find_max_load(quick_base(), grid=(0.2, 0.4))
+def test_collate_max_load_probe_ordering():
+    result = sweep_max_load(quick_base(), (0.2, 0.4))
     loads = [p[0] for p in result.probes]
     assert loads == sorted(loads)
 

@@ -223,7 +223,7 @@ def test_preemptive_link_delivers_everything():
     for pkt in pkts:
         port.enqueue(pkt)
     sim.run()
-    assert sorted(id(p) for p in sink.out) == sorted(id(p) for p in pkts)  # simlint: ok(det-id-order) — multiset equality of object identities; both sides sort the same run's ids, no cross-run order is asserted
+    assert sorted(id(p) for p in sink.out) == sorted(id(p) for p in pkts)
 
 
 # ---------------------------------------------------------------------------
