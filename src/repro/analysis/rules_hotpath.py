@@ -70,6 +70,9 @@ HOT_FUNCTIONS: dict[str, frozenset[str]] = {
             "HomaTransport._next_data",
             "HomaTransport._make_data_packet",
             "HomaTransport._on_data",
+            # Per-message receiver hooks of the shared receiver.
+            "HomaTransport._registered",
+            "HomaTransport._forget_inbound",
             "HomaTransport._schedule_grants",
             "HomaTransport._grant_packet",
             "HomaTransport._grant_tick",
@@ -87,7 +90,8 @@ HOT_FUNCTIONS: dict[str, frozenset[str]] = {
         {
             "Transport.send_ctrl",
             "Transport.next_packet",
-            # The baselines' shared receiver, once per data packet.
+            # The shared receiver: once per data packet for the
+            # baselines, once per message for Homa.
             "Transport._inbound_for",
             "Transport._record",
             "Transport._complete",

@@ -2,8 +2,9 @@
 
 Two independent mechanisms, both default-off and both seeded off the
 run's deterministic RNG stream (never wall-clock, never the global
-``random`` module — the ``fault-determinism`` simlint rule enforces
-this for every callback registered here):
+``random`` module; for fault observers
+``tests/test_faults.py::test_fault_schedule_fires_in_order_with_observer``
+fails on one that records wall-clock time instead of ``now_ps``):
 
 * :func:`install_loss` puts a Bernoulli drop filter on every switch of
   a layer with a nonzero rate in :class:`LossRates`.  All filters share
@@ -74,9 +75,6 @@ class LossRates:
             return getattr(self, level)
         return 0.0
 
-    def to_payload(self) -> dict:
-        return {"tor": self.tor, "aggr": self.aggr, "core": self.core}
-
     @classmethod
     def from_payload(cls, payload: dict | None) -> "LossRates":
         if not payload:
@@ -124,10 +122,6 @@ class FaultEvent:
     def at_ps(self) -> int:
         return int(self.at_ms * MS)
 
-    def to_payload(self) -> dict:
-        return {"at_ms": self.at_ms, "kind": self.kind,
-                "action": self.action, "target": self.target}
-
     @classmethod
     def from_payload(cls, payload: dict) -> "FaultEvent":
         return cls(at_ms=payload["at_ms"], kind=payload["kind"],
@@ -143,8 +137,8 @@ class FaultInjector:
     never appends a packet early across a buffer flush
     (``core/topology.py``).  Observers registered with
     ``subscribe(fn)`` are called as ``fn(event, now_ps)`` after each
-    application — the ``fault-determinism`` simlint rule statically
-    rejects wall-clock or unseeded-RNG use inside such callbacks.
+    application, in firing order and at simulated time only
+    (``tests/test_faults.py::test_fault_schedule_fires_in_order_with_observer``).
     """
 
     __slots__ = ("sim", "net", "events", "applied", "_observers", "_due")

@@ -670,18 +670,6 @@ class TopologySpec:
 
     # -- payload round-trip ---------------------------------------------
 
-    def to_payload(self) -> dict:
-        return {
-            "levels": self.levels, "pods": self.pods, "racks": self.racks,
-            "hosts_per_rack": self.hosts_per_rack, "aggrs": self.aggrs,
-            "cores": self.cores, "host_gbps": self.host_gbps,
-            "aggr_gbps": self.aggr_gbps, "core_gbps": self.core_gbps,
-            "switch_delay_ns": self.switch_delay_ns,
-            "software_delay_ns": self.software_delay_ns,
-            "loss": self.loss.to_payload(),
-            "faults": [ev.to_payload() for ev in self.faults],
-        }
-
     @classmethod
     def from_payload(cls, payload: dict) -> "TopologySpec":
         data = dict(payload)

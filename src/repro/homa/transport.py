@@ -27,6 +27,7 @@ One ``HomaTransport`` instance runs on each host and plays both roles:
 from __future__ import annotations
 
 from heapq import nsmallest
+from itertools import count
 from typing import Callable, Optional
 
 from repro.core.engine import Simulator
@@ -140,7 +141,7 @@ class HomaTransport(Transport):
         self._grantable: dict[int, InboundMessage] = {}
         # Registration counter: the last SRPT tie-break on both sides
         # (``sort_seq`` of outbound and inbound messages).
-        self._sort_seq = 0
+        self._sort_seq = count(1)
         # Set when the grantable membership or the allocation changed:
         # count-based coalescing ranks at once instead of waiting for
         # its Nth arrival.
@@ -191,6 +192,8 @@ class HomaTransport(Transport):
         # the scan never runs and digests stay byte-identical.
         self._peer_gc = peer_gc
         self._orphan_rounds: dict[int, list] = {}  # key -> [sig, rounds]
+        # Done-memory span (only for messages this host sent a RESEND for)
+        self._done_horizon_ps = (cfg.max_resends + 1) * cfg.resend_interval_ps
 
     # ------------------------------------------------------------------
     # public sending API
@@ -244,7 +247,9 @@ class HomaTransport(Transport):
             else self.unsched_limit,
             created_ps=self.sim.now, app_meta=app_meta)
         msg.incast = incast
-        self._index_outbound(msg)
+        # Always new to ``outbound``: _index_outbound's check, skipped.
+        msg.sort_seq = next(self._sort_seq)
+        self.outbound[msg.key] = msg
         self.kick()
         return msg
 
@@ -265,7 +270,7 @@ class HomaTransport(Transport):
         if best is None:
             return None
         offset, size, is_rtx = best.next_chunk()
-        if best.fully_sent():
+        if best.sent >= best.length and not best.rtx:  # fully_sent(), inlined
             self._outbound_finished(best)
         return self._make_data_packet(best, offset, size, is_rtx)
 
@@ -273,8 +278,7 @@ class HomaTransport(Transport):
         """(Re)register a message with the sender; a message new to
         ``outbound`` takes the next ``sort_seq``."""
         if self.outbound.get(msg.key) is not msg:
-            self._sort_seq += 1
-            msg.sort_seq = self._sort_seq
+            msg.sort_seq = next(self._sort_seq)
             self.outbound[msg.key] = msg
 
     def _make_data_packet(self, msg: OutboundMessage, offset: int, size: int,
@@ -332,22 +336,9 @@ class HomaTransport(Transport):
         if msg is None:
             if not pkt.is_request and pkt.rpc_id not in self.client_rpcs:
                 return  # duplicate response for a completed RPC: drop
-            msg = InboundMessage(pkt.rpc_id, pkt.is_request, pkt.src,
-                                 self.hid, pkt.total_length, now_ps=self.sim.now)
-            msg.app_meta = pkt.app_meta
-            msg.incast = pkt.incast
-            msg.created_ps = pkt.created_ps
-            self._sort_seq += 1
-            msg.sort_seq = self._sort_seq
-            self.inbound[key] = msg
-            self._grantable[key] = msg
-            self._grant_dirty = True
-            if self.estimator is not None:
-                self.estimator.record(pkt.total_length)
-            if not pkt.is_request:
-                rpc = self.client_rpcs.get(pkt.rpc_id)
-                if rpc is not None:
-                    rpc.response_started = True
+            msg = self._inbound_for(pkt)
+            if msg is None:
+                return  # late copy of a message completed after a RESEND
         if pkt.grant_offset > msg.granted:
             msg.granted = min(pkt.grant_offset, msg.length)
             if msg.granted >= msg.length and self._grantable.pop(key, None):
@@ -360,10 +351,8 @@ class HomaTransport(Transport):
             msg.resends = 0  # progress resets the retry budget
             if pkt.retx:
                 self.rtx_recovered += 1
-        if msg.is_complete():
-            del self.inbound[key]
-            if self._grantable.pop(key, None):
-                self._grant_dirty = True
+        if msg.received.total >= msg.length:  # msg.is_complete(), inlined
+            self._complete(msg)
             self._inbound_finished(msg)
         interval = self._grant_interval_ps
         if not interval:
@@ -396,8 +385,27 @@ class HomaTransport(Transport):
         if self.estimator is not None:
             self._maybe_refresh_allocation()
 
+    def _registered(self, msg: InboundMessage) -> None:
+        msg.sort_seq = next(self._sort_seq)
+        self._grantable[msg.key] = msg
+        self._grant_dirty = True
+        if self.estimator is not None:
+            self.estimator.record(msg.length)
+        if not msg.is_request:
+            rpc = self.client_rpcs.get(msg.rpc_id)
+            if rpc is not None:
+                rpc.response_started = True
+
+    def _forget_inbound(self, key: int) -> None:
+        if self._grantable.pop(key, None) is not None:
+            self._grant_dirty = True
+
+    def _reack(self, pkt: Packet) -> None:
+        """Drop a late copy: Homa has no ACK, and no sender waits on one
+        once its bytes are all counted as sent (_on_resend)."""
+
     def _inbound_finished(self, msg: InboundMessage) -> None:
-        self._report_complete(msg)
+        """Hand a completed message to the RPC layer (3.1, 3.8)."""
         if msg.is_request:
             if self.rpc_handler is not None:
                 if msg.rpc_id in self.server_rpcs:
@@ -580,20 +588,23 @@ class HomaTransport(Transport):
                     # Unknown RPCid: the request must have been lost (or
                     # our state discarded).  Ask the client to resend the
                     # request; the RPC will re-execute (sections 3.7/3.8).
+                    # A done-memory entry for the request must not drop
+                    # the copy asked for here.
+                    self._done_memory.pop((pkt.rpc_id << 1) | 1, None)
                     self.reexecutions += 1
                     self.resends_sent += 1
                     self.send_ctrl(Packet(
                         self.hid, pkt.src, PacketType.RESEND,
                         rpc_id=pkt.rpc_id, is_request=True,
                         range_end=self.rtt_bytes))
-            elif pkt.grant_offset > 0:
+            elif pkt.total_length:
                 # RESEND for a request we no longer track: a fully-sent
                 # one-way message whose sender state was dropped the
                 # moment the last byte hit the NIC — with a lost tail
                 # packet, the receiver would otherwise burn its whole
                 # retry budget against a sender that forgot the bytes.
                 # The receiver's timeout RESENDs carry the message
-                # length in grant_offset, so resurrect a ghost outbound
+                # length in total_length, so resurrect a ghost outbound
                 # covering exactly the missing range.  (An aborted RPC
                 # lands here too: re-sending its request is at-least-
                 # once re-execution, section 3.8.)
@@ -602,7 +613,7 @@ class HomaTransport(Transport):
         if self._sender_is_busy(msg):
             self._send_busy(pkt)
             return
-        if pkt.offset == 0 and pkt.grant_offset == 0 and msg.sent > 0:
+        if pkt.offset == 0 and pkt.total_length == 0 and msg.sent > 0:
             # The peer has *nothing*: a re-executed request whose server
             # lost all state (3.8), or a client probing for a response
             # of which no byte ever arrived.  Gap-chasing from a byte
@@ -648,7 +659,7 @@ class HomaTransport(Transport):
         range drains, ``fully_sent`` cleans it up through the normal
         ``_outbound_finished`` path.
         """
-        length = pkt.grant_offset
+        length = pkt.total_length
         end = pkt.range_end if pkt.range_end <= length else length
         if pkt.offset >= end:
             return
@@ -724,22 +735,23 @@ class HomaTransport(Transport):
             msg.resends += 1
             msg.last_activity_ps = now
             if msg.resends > self.cfg.max_resends:
-                del self.inbound[msg.key]
-                if self._grantable.pop(msg.key, None) is not None:
-                    self._grant_dirty = True
+                if msg.key in self._grantable:
                     freed = True
-                self.inbound_gaveups += 1
-                self._abort_related_rpc(msg)
+                self._in_give_up(msg.key)
+                if not msg.is_request:  # fail the RPC it answers
+                    rpc = self.client_rpcs.pop(msg.rpc_id, None)
+                    if rpc is not None:
+                        self._signal_error(rpc)
                 continue
             self.resends_sent += 1
-            # ``grant_offset`` carries the message's total length: if
-            # the sender has already discarded its state (a fully-sent
-            # one-way message), it can resurrect a ghost outbound for
-            # exactly the missing range (_on_resend).
+            msg.resent = True
+            # ``total_length`` lets a sender that has already discarded
+            # its state (a fully-sent one-way message) resurrect a ghost
+            # outbound for exactly the missing range (_on_resend).
             self.send_ctrl(Packet(
                 self.hid, msg.src, PacketType.RESEND,
                 rpc_id=msg.rpc_id, is_request=msg.is_request,
-                grant_offset=msg.length,
+                total_length=msg.length,
                 offset=gap[0], range_end=gap[1]))
         # Client side: responses that never started arriving.
         for rpc in list(self.client_rpcs.values()):
@@ -761,8 +773,11 @@ class HomaTransport(Transport):
             rpc.resends += 1
             rpc.last_activity_ps = now
             if rpc.resends > self.cfg.max_resends:
-                if self._abort_client_rpc(rpc):
-                    freed = True
+                # Abort (3.7): no response byte ever arrived, so the
+                # request is all the state left.
+                self.client_rpcs.pop(rpc.rpc_id, None)
+                self.outbound.pop((rpc.rpc_id << 1) | 1, None)
+                self._signal_error(rpc)
                 continue
             # RESEND for the response, even though the request may have
             # been lost; the server answers RESEND-for-request if so.
@@ -812,23 +827,6 @@ class HomaTransport(Transport):
         self._ensure_timer()
         if freed:
             self._schedule_grants()
-
-    def _abort_related_rpc(self, msg: InboundMessage) -> None:
-        if not msg.is_request:
-            rpc = self.client_rpcs.pop(msg.rpc_id, None)
-            if rpc is not None:
-                self._signal_error(rpc)
-
-    def _abort_client_rpc(self, rpc: ClientRpc) -> bool:
-        """Drop every trace of an RPC; True if a grant slot was freed."""
-        self.client_rpcs.pop(rpc.rpc_id, None)
-        self.inbound.pop((rpc.rpc_id << 1), None)  # partial response
-        freed = self._grantable.pop((rpc.rpc_id << 1), None) is not None
-        if freed:
-            self._grant_dirty = True
-        self.outbound.pop((rpc.rpc_id << 1) | 1, None)
-        self._signal_error(rpc)
-        return freed
 
     def _signal_error(self, rpc: ClientRpc) -> None:
         self.rpcs_aborted += 1

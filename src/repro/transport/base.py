@@ -15,10 +15,11 @@ backoff constants (exponential backoff, bounded give-up budget) drive a
 the protocol supplies only its repair action.  Give-ups and
 retransmissions flow through the shared counters below into
 ``metrics/control.py`` ControlTraffic.
-The baselines also share one receiver (``_inbound_for`` / ``_record``
-/ ``_complete`` / ``_in_give_up``) and one sender (``outbound``,
-``_out_watch``, ``_retire`` / ``_out_give_up``, and the retry-budget
-gate ``_recovery_round``); each keeps only its packet formats, its
+Every transport shares one receiver (``_inbound_for`` / ``_record``
+/ ``_complete`` / ``_in_give_up``, with a done-memory for late copies);
+the baselines also share one sender (``outbound``, ``_out_watch``,
+``_retire`` / ``_out_give_up``, and the retry-budget gate
+``_recovery_round``).  Each protocol keeps only its packet formats, its
 repair action and its own per-message state.
 On clean fabrics the registry passes ``recovery=None`` and none of
 this machinery schedules a single event, keeping the clean-fabric
@@ -182,8 +183,9 @@ class Transport:
         # must be idempotent).  One retry *spacing* is not enough: the
         # retries themselves can be lost, leaving the receiver silent
         # for several spacings.  Every re-ACK refreshes the entry.
-        # Protocols whose retries run on their own scale (PIAS's RTO)
-        # raise ``_done_horizon_ps`` to that policy's horizon.
+        # Protocols whose retries run on their own scale (PIAS's RTO,
+        # Homa's RESEND timer) set ``_done_horizon_ps`` to that policy's
+        # horizon; at 0 nothing is remembered.
         # Insertion-ordered by expiry, purged from the front on insert.
         self._done_memory: dict[int, int] = {}
         self._done_horizon_ps = recovery.horizon_ps if recovery else 0
@@ -253,15 +255,14 @@ class Transport:
         raise NotImplementedError
 
     def _report_complete(self, message: InboundMessage) -> None:
-        """Mark an inbound message complete and notify the application."""
-        message.completed = True
+        """Count an inbound message complete and notify the application."""
         self.messages_received += 1
         self.bytes_received += message.length
         if self.on_message_complete is not None:
             self.on_message_complete(message, self.sim.now)
 
     # ------------------------------------------------------------------
-    # the baselines' shared receiver: register, record, complete, GC
+    # the shared receiver: register, record, complete, GC
     # ------------------------------------------------------------------
 
     def _inbound_for(self, pkt: Packet) -> Optional[InboundMessage]:
@@ -275,7 +276,7 @@ class Transport:
         msg = self.inbound.get(key)
         if msg is not None:
             return msg
-        if self._in_watch is not None and self._recently_done(key):
+        if self._done_memory and self._recently_done(key):
             self._note_done(key)  # refresh: the peer is still retrying
             self._reack(pkt)
             return None
@@ -283,6 +284,7 @@ class Transport:
                              pkt.total_length, now_ps=self.sim.now)
         msg.created_ps = pkt.created_ps
         msg.app_meta = pkt.app_meta
+        msg.incast = pkt.incast
         self.inbound[key] = msg
         self._registered(msg)
         if self._in_watch is not None:
@@ -299,12 +301,15 @@ class Transport:
 
     def _complete(self, msg: InboundMessage) -> None:
         """Retire a fully received message, remember it for late
-        retransmissions, and report it."""
+        retransmissions (every message under ``_in_watch``; otherwise
+        only one this host asked to be resent), and report it."""
         key = msg.key
         del self.inbound[key]
         self._forget_inbound(key)
         if self._in_watch is not None:
             self._in_watch.forget(key)
+            self._note_done(key)
+        elif msg.resent:
             self._note_done(key)
         self._report_complete(msg)
 
@@ -395,10 +400,11 @@ class Transport:
 
     def _note_done(self, key: int) -> None:
         """Remember (or refresh) a completed inbound message for the
-        peer's retry span (no-op on clean fabrics).  Protocols call
-        this again from their re-ACK branch so a slowly backing-off
-        retrier never outlives the memory of its own completion."""
-        if self.recovery is None:
+        peer's retry span (no-op while ``_done_horizon_ps`` is 0, as on
+        the baselines' clean fabrics).  ``_inbound_for`` calls this
+        again on every late copy so a slowly backing-off retrier never
+        outlives the memory of its own completion."""
+        if not self._done_horizon_ps:
             return
         memory = self._done_memory
         now = self.sim.now

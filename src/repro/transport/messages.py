@@ -240,7 +240,7 @@ class InboundMessage:
     __slots__ = (
         "rpc_id", "is_request", "src", "dst", "length", "received",
         "granted", "sched_prio", "first_arrival_ps", "last_activity_ps",
-        "resends", "completed", "app_meta", "incast", "created_ps",
+        "resends", "resent", "app_meta", "incast", "created_ps",
         "sort_seq", "key",
     )
 
@@ -265,7 +265,10 @@ class InboundMessage:
         self.first_arrival_ps = now_ps
         self.last_activity_ps = now_ps
         self.resends = 0
-        self.completed = False
+        # Set once this host asks the sender to resend any of it: only
+        # then can a second copy of a byte still be on the wire when the
+        # message completes (``Transport._complete`` remembers it).
+        self.resent = False
         self.app_meta: int | None = None
         self.incast = False
         self.created_ps = now_ps  # overwritten with the sender's stamp

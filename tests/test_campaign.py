@@ -99,14 +99,15 @@ def _assert_every_field_set(obj) -> None:
 
 def test_payload_round_trip_covers_every_field():
     """Set EVERY dataclass field of ExperimentConfig and ExperimentResult,
-    and of every class they carry through a to_payload/from_payload pair
-    (HomaConfig, TopologySpec, LossRates, FaultEvent, ControlTraffic,
-    FabricHealth, SlowdownTracker), to a non-default value and require an
-    exact JSON round-trip.  A field silently dropped by a payload pair
+    and of every class they carry (HomaConfig, TopologySpec, LossRates,
+    FaultEvent, ControlTraffic, FabricHealth, SlowdownTracker), to a
+    non-default value and require an exact JSON round-trip.  A field silently dropped by a payload pair
     corrupts the on-disk campaign cache — the rerun "hits" with a default
     where measured data should be — and this test fails loudly the moment
     a new field is added without extending both the pair and this test."""
-    # Checked against dropping "switch_delay_ns" from TopologySpec.to_payload.
+    # ``to_payload`` is ``asdict``: a field can only be lost on the way
+    # back, e.g. by a ``from_payload`` that rebuilds a nested class by
+    # hand.
     cfg = ExperimentConfig(
         protocol="pfabric", workload="W4", load=0.55, racks=2,
         hosts_per_rack=3, aggrs=1, duration_ms=2.5, warmup_ms=0.5,
@@ -131,9 +132,6 @@ def test_payload_round_trip_covers_every_field():
     for obj in (cfg, cfg.homa, cfg.fabric, cfg.fabric.loss,
                 *cfg.fabric.faults):
         _assert_every_field_set(obj)
-    for obj in (cfg.fabric, cfg.fabric.loss, *cfg.fabric.faults):
-        assert type(obj).from_payload(
-            json.loads(json.dumps(obj.to_payload()))) == obj
     back = ExperimentConfig.from_payload(
         json.loads(json.dumps(cfg.to_payload())))
     assert back == cfg

@@ -18,6 +18,7 @@ Covers the fault-injection PR's contracts end to end:
   fail loudly, naming the offending field.
 """
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -521,6 +522,38 @@ def test_ghost_resend_recovers_forgotten_oneway_tail():
     assert transports[1].inbound_gaveups == 0
 
 
+def test_late_copy_after_resend_is_not_delivered_twice():
+    """Bug pin: a one-way message completes off the copy of its tail
+    that the receiver's RESEND asked for, and the original tail packet
+    arrives after that.  Without the receiver's done-memory the late
+    copy registers the message again; its RESEND for the "missing"
+    head then makes the sender rebuild a ghost, and the message is
+    delivered twice."""
+    from tests.helpers import homa_cluster
+
+    sim, net, transports = homa_cluster(hosts_per_rack=2)
+    sender, receiver = transports
+    held = []
+
+    def hold_tail_once(pkt):
+        if (pkt.kind == PacketType.DATA and not pkt.retx
+                and pkt.offset == 2920 and not held):
+            held.append(pkt)
+            return True
+        return False
+
+    net.set_drop_filter(hold_tail_once)
+    sender.send_message(1, 4000)  # 3 packets, all unsched
+    sim.run()
+    assert held, "tail packet was never held; vacuous test"
+    assert receiver.resends_sent >= 1
+    assert receiver.messages_received == 1
+    receiver.on_packet(held[0])  # the original tail, arriving late
+    sim.run()
+    assert receiver.messages_received == 1
+    assert not receiver.inbound and not sender.outbound
+
+
 def test_stalled_request_probe_breaks_grant_deadlock():
     """Bug pin: when the receiver gives up on a partially-received
     request, its give-up is silent — the client, stalled mid-request
@@ -577,12 +610,12 @@ def test_resend_range_is_an_implicit_grant_not_blind_rtx():
     msg = sender.send_message(1, 50_000)
     sent_before = msg.sent
     assert msg.granted < 30_000  # only the unsched prefix so far
-    # grant_offset=length is the receiver-timeout RESEND signature
-    # (grant_offset=0 with offset=0 means "peer has nothing" and asks
+    # total_length=length is the receiver-timeout RESEND signature
+    # (total_length=0 with offset=0 means "peer has nothing" and asks
     # for a restart instead).
     sender.on_packet(Packet(1, 0, PacketType.RESEND, rpc_id=msg.rpc_id,
                             is_request=True, offset=0, range_end=30_000,
-                            grant_offset=50_000))
+                            total_length=50_000))
     assert msg.granted == 30_000, "RESEND range must act as a grant"
     for start, end in msg.rtx:
         assert end <= sent_before, "queued rtx for bytes never sent"
@@ -610,6 +643,8 @@ def test_fabric_health_collect_on_plain_network_is_zero():
 
 
 def test_topology_spec_payload_round_trip():
-    assert TopologySpec.from_payload(LOSSY3.to_payload()) == LOSSY3
-    clean = TopologySpec()
-    assert TopologySpec.from_payload(clean.to_payload()) == clean
+    """The cache and the wire carry a spec inside its ExperimentConfig."""
+    for spec in (LOSSY3, TopologySpec()):
+        cfg = ExperimentConfig(fabric=spec)
+        assert ExperimentConfig.from_payload(
+            json.loads(json.dumps(cfg.to_payload()))) == cfg

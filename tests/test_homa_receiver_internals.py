@@ -173,7 +173,7 @@ def test_sender_breaks_srpt_ties_in_registration_order():
         transport.on_packet(Packet(src, 0, PacketType.RESEND, rpc_id=rpc_id,
                                    is_request=True, offset=0,
                                    range_end=MAX_PAYLOAD,
-                                   grant_offset=2 * MAX_PAYLOAD))
+                                   total_length=2 * MAX_PAYLOAD))
     assert [transport.next_packet().dst for _ in range(2)] == [3, 2]
     assert transport.next_packet() is None
 

@@ -25,7 +25,7 @@ and any leftover server response is a bounded dead-peer orphan
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.units import MS
@@ -75,6 +75,9 @@ def test_prop_conservation_and_physicality(grant_batch_ns, schedule):
     for hid, msg, now in records:
         oracle = net.min_oneway_between(msg.src, hid, msg.length)
         assert now - msg.created_ps >= oracle
+    for transport in transports:
+        # Only a RESEND this host sent puts a key in its done-memory.
+        assert transport.resends_sent or not transport._done_memory
 
 
 @given(schedules)
@@ -171,6 +174,9 @@ def test_prop_rpc_conservation(sizes):
        st.sampled_from([0.01, 0.03, 0.08]),
        st.integers(min_value=0, max_value=3))
 @settings(max_examples=8, deadline=None)
+# A server that drops every late copy of a request it completed leaks
+# the client's re-sent request here: re-execution must forget the entry.
+@example(schedule=[(0, 1, 10221, 0)], rate=0.03, seed=0)
 def test_prop_rpc_conservation_under_loss(schedule, rate, seed):
     """Conservation at event exhaustion on a lossy fabric.
 
@@ -226,14 +232,11 @@ def test_prop_rpc_conservation_under_loss(schedule, rate, seed):
 
 
 @pytest.mark.slow
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 1: a 5 MB W4 message starved behind shorter ones "
-    "outlives max_resends x resend_interval; the receiver gives up, the "
-    "sender restarts from scratch and both copies complete (1399 "
-    "completions of 1398 submissions).  Delete this mark with the fix."))
 def test_homa_w4_seed10_delivers_at_most_once():
     """``benchmarks/perf`` workload ``homa_w4_clean`` at seed 10: the
-    paper's Figure 11 fabric, clean, per-packet grants."""
+    paper's Figure 11 fabric, clean, per-packet grants.  A 4,978,761 B
+    message completes off a RESEND's copy of offset 13,140; the original
+    packet arrives 1.2 us later and must not register it again."""
     from repro.experiments.runner import ExperimentConfig, run_experiment
 
     result = run_experiment(ExperimentConfig(
@@ -246,16 +249,12 @@ def test_homa_w4_seed10_delivers_at_most_once():
 
 
 @pytest.mark.slow
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 1: W4@0.8 on a clean 3x8 fabric at seed 5 completes "
-    "1801 of 1800 messages with no give-up, so it is not seed 10's "
-    "give-up-then-restart path.  Suspect: a RESEND-driven retransmission "
-    "arrives after completion and re-registers, because Homa keeps no "
-    "done-memory on clean fabrics.  Delete this mark with the fix."))
 def test_homa_w4_seed5_delivers_at_most_once():
-    """A 7 s clean-fabric duplicate with the default (timer) grant
-    pacer: 1,800 submitted, 17 RESENDs, 0 give-ups, 0 aborts.
-    Per-packet grants (``grant_batch_ns=0``) duplicate the same way."""
+    """W4@0.8 on a clean 3x8 fabric with the default (timer) grant
+    pacer: 1,800 submitted, 17 RESENDs, 0 give-ups, 0 aborts.  A
+    RESEND-driven retransmission arrives 15 us after its 8,054,328 B
+    message completed; without the receiver's done-memory it registers
+    the message again and delivers it twice."""
     from repro.experiments.runner import ExperimentConfig, run_experiment
 
     result = run_experiment(ExperimentConfig(
