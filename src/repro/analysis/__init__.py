@@ -2,15 +2,13 @@
 
 Run it as ``python -m repro.analysis`` (no third-party deps; works
 before ``pip install``).  See docs/STATIC_ANALYSIS.md for the rule
-catalog, baseline workflow and pragma syntax.
+catalog and pragma syntax.
 """
 
 from repro.analysis.core import (
-    DEFAULT_BASELINE,
     DEFAULT_TARGETS,
     REPO_ROOT,
     RULES,
-    BaselineDiff,
     Finding,
     Module,
     Pragma,
@@ -18,11 +16,7 @@ from repro.analysis.core import (
     Rule,
     RunResult,
     analyze_source,
-    count_findings,
-    diff_baseline,
-    load_baseline,
     run,
-    write_baseline,
 )
 
 # Importing the rule modules registers their rules.
@@ -33,11 +27,9 @@ from repro.analysis import (  # noqa: E402  (registration side effects)
 )
 
 __all__ = [
-    "DEFAULT_BASELINE",
     "DEFAULT_TARGETS",
     "REPO_ROOT",
     "RULES",
-    "BaselineDiff",
     "Finding",
     "Module",
     "Pragma",
@@ -45,11 +37,7 @@ __all__ = [
     "Rule",
     "RunResult",
     "analyze_source",
-    "count_findings",
-    "diff_baseline",
-    "load_baseline",
     "run",
-    "write_baseline",
     "rules_determinism",
     "rules_docs",
     "rules_hotpath",

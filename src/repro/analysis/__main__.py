@@ -1,7 +1,7 @@
-"""CLI: ``python -m repro.analysis [paths...] [--strict] ...``
+"""CLI: ``python -m repro.analysis [paths...] [--rules ...] ...``
 
-Exit codes: 0 clean (modulo baseline), 1 findings (or, with --strict,
-stale baseline entries), 2 internal/usage error.
+Exit codes: 0 clean (every finding waived by a pragma), 1 findings,
+2 internal/usage error.
 """
 
 from __future__ import annotations
@@ -12,15 +12,11 @@ import sys
 from pathlib import Path
 
 from repro.analysis import (
-    DEFAULT_BASELINE,
     DEFAULT_TARGETS,
     REPO_ROOT,
     RULES,
     Project,
-    diff_baseline,
-    load_baseline,
     run,
-    write_baseline,
 )
 
 
@@ -45,22 +41,6 @@ def main(argv: list[str] | None = None) -> int:
         help="repo root (default: auto-detected from the package location)",
     )
     parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help=f"baseline file (default: <root>/{DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite the baseline to grandfather all current findings",
-    )
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="also fail on stale baseline entries (CI mode)",
-    )
-    parser.add_argument(
         "--rules",
         help="comma-separated subset of rules to run",
     )
@@ -75,7 +55,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.list_rules:
         for r in sorted(RULES.values(), key=lambda r: r.name):
             first = r.doc.splitlines()[0] if r.doc else ""
-            print(f"{r.name:<20} [{r.tier}] {first}")
+            print(f"{r.name:<20} {first}")
         return 0
 
     rules = None
@@ -87,60 +67,32 @@ def main(argv: list[str] | None = None) -> int:
             return 2
 
     root = args.root.resolve()
-    baseline_path = args.baseline or (root / DEFAULT_BASELINE)
     targets = args.paths or list(DEFAULT_TARGETS)
     project = Project.load(root, targets)
     result = run(project, rules=rules)
-
-    if args.write_baseline:
-        write_baseline(baseline_path, result.findings)
-        print(
-            f"wrote {len(result.findings)} finding(s) to {baseline_path}"
-        )
-        return 0
-
-    baseline = load_baseline(baseline_path)
-    diff = diff_baseline(result.findings, baseline)
 
     if args.json:
         print(
             json.dumps(
                 {
-                    "new": [vars(f) | {"identity": f.identity} for f in diff.new],
-                    "stale": diff.stale,
-                    "baselined": len(result.findings) - len(diff.new),
+                    "findings": [
+                        vars(f) | {"identity": f.identity}
+                        for f in result.findings
+                    ],
                     "waived": len(result.waived),
                 },
                 indent=2,
             )
         )
     else:
-        for f in diff.new:
+        for f in result.findings:
             print(f.render())
-        if diff.stale:
-            verb = "error" if args.strict else "warning"
-            for ident, shortfall in sorted(diff.stale.items()):
-                print(
-                    f"{verb}: stale baseline entry ({shortfall} fixed): "
-                    f"{ident}"
-                )
-            if args.strict:
-                print(
-                    "stale entries mean findings were fixed — shrink the "
-                    "baseline: python -m repro.analysis --write-baseline"
-                )
         print(
             f"simlint: {len(project.modules)} file(s), "
             f"{len(result.findings)} finding(s) "
-            f"({len(result.findings) - len(diff.new)} baselined, "
-            f"{len(result.waived)} waived by pragma, {len(diff.new)} new)"
+            f"({len(result.waived)} waived by pragma)"
         )
-
-    if diff.new:
-        return 1
-    if args.strict and diff.stale:
-        return 1
-    return 0
+    return 1 if result.findings else 0
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""simlint core: project loading, pragmas, findings, baseline, rule registry.
+"""simlint core: project loading, pragmas, findings, rule registry.
 
 This package is deliberately zero-dependency (stdlib ``ast`` only) so the
 CLI can run in CI *before* ``pip install`` — the same install-forbidden
@@ -7,26 +7,22 @@ containers that keep ruff advisory (see ruff.toml) can still gate on it.
 Key pieces:
 
 * :class:`Finding` — one diagnostic.  Its :attr:`~Finding.identity` is
-  ``rule::path::scope::detail`` with **no line numbers**, so baselines
-  survive unrelated edits that shift code up or down.
+  ``rule::path::scope::detail`` with **no line numbers**, so it names
+  the same finding across unrelated edits that shift code up or down.
 * :class:`Module` / :class:`Project` — parsed source files plus the
   repo's markdown docs.  Every AST node is annotated with the qualname
   of its innermost enclosing function/class (``node._simlint_scope``).
 * Pragmas — ``# simlint: ok(rule[,rule]) — justification`` on the same
   physical line as the flagged construct waives matching findings.  A
   pragma with no justification, or one that waives nothing, is itself a
-  finding (rule ``pragma``): waivers must stay honest.
-* Baseline — ``{identity: count}``.  Grandfathered findings are allowed
-  up to their recorded count; the excess is "new" and fails the run.
-  ``--strict`` additionally fails on *stale* entries (count dropped),
-  forcing the baseline to shrink as debt is paid down.
+  finding (rule ``pragma``): waivers must stay honest.  A pragma is
+  the only waiver: every other finding fails the run.
 """
 
 from __future__ import annotations
 
 import ast
 import io
-import json
 import re
 import tokenize
 from dataclasses import dataclass
@@ -38,9 +34,6 @@ REPO_ROOT = Path(__file__).resolve().parents[3]
 
 #: directories scanned when the CLI is given no explicit paths
 DEFAULT_TARGETS = ("src", "benchmarks", "tests", "examples")
-
-#: default baseline location, checked in next to the rules
-DEFAULT_BASELINE = "src/repro/analysis/baseline.json"
 
 #: directory names never descended into
 SKIP_DIRS = {"__pycache__", ".git", ".seed-worktree", ".pytest_cache"}
@@ -77,7 +70,6 @@ class Pragma:
 @dataclass(frozen=True)
 class Rule:
     name: str
-    tier: str  # "blocking" or "advisory" (advisory == expected to be baselined)
     doc: str
     check: Callable[["Project"], list[Finding]]
 
@@ -86,14 +78,14 @@ class Rule:
 RULES: dict[str, Rule] = {}
 
 
-def rule(name: str, *, tier: str = "blocking"):
+def rule(name: str):
     """Register a rule.  The decorated function takes a Project and
     returns a list of Findings; its docstring becomes the catalog entry."""
 
     def deco(fn: Callable[["Project"], list[Finding]]):
         if name in RULES:
             raise ValueError(f"duplicate rule {name!r}")
-        RULES[name] = Rule(name, tier, (fn.__doc__ or "").strip(), fn)
+        RULES[name] = Rule(name, (fn.__doc__ or "").strip(), fn)
         return fn
 
     return deco
@@ -339,65 +331,6 @@ def analyze_source(
     if hot_manifest is not None:
         project.hot_manifest = hot_manifest
     return run(project, rules=rules)
-
-
-# ----------------------------------------------------------------------
-# baseline
-# ----------------------------------------------------------------------
-
-
-def count_findings(findings: Iterable[Finding]) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for f in findings:
-        counts[f.identity] = counts.get(f.identity, 0) + 1
-    return counts
-
-
-def load_baseline(path: Path) -> dict[str, int]:
-    if not Path(path).exists():
-        return {}
-    payload = json.loads(Path(path).read_text())
-    if payload.get("version") != 1:
-        raise ValueError(f"{path}: unsupported baseline version")
-    return {str(k): int(v) for k, v in payload["findings"].items()}
-
-
-def write_baseline(path: Path, findings: Iterable[Finding]) -> None:
-    payload = {
-        "version": 1,
-        "comment": (
-            "Grandfathered simlint findings; identity -> occurrence count. "
-            "Regenerate with: python -m repro.analysis --write-baseline. "
-            "See docs/STATIC_ANALYSIS.md."
-        ),
-        "findings": dict(sorted(count_findings(findings).items())),
-    }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-
-
-@dataclass
-class BaselineDiff:
-    new: list[Finding]  # findings beyond their baselined count
-    stale: dict[str, int]  # identity -> shortfall (baseline count - current)
-
-
-def diff_baseline(
-    findings: Sequence[Finding], baseline: dict[str, int]
-) -> BaselineDiff:
-    new: list[Finding] = []
-    seen: dict[str, int] = {}
-    for f in findings:
-        seen[f.identity] = seen.get(f.identity, 0) + 1
-        if seen[f.identity] > baseline.get(f.identity, 0):
-            new.append(f)
-    stale = {
-        ident: count - seen.get(ident, 0)
-        for ident, count in baseline.items()
-        if seen.get(ident, 0) < count
-    }
-    return BaselineDiff(new=new, stale=stale)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Hot-path allocation rule (advisory tier — findings get baselined).
+"""Hot-path allocation rule.
 
 ``HOT_FUNCTIONS`` is a manifest of the functions that run per event /
 per packet in the canonical 144-host benches: the event loop and
@@ -17,12 +17,10 @@ that allocate or pay per call:
   but usually marks a polymorphic fast path that reads better (and
   traces better) as an explicit test.
 
-The tier is advisory: existing findings are grandfathered in
-``baseline.json`` rather than rewritten for lint's sake — several are
-deliberate (e.g. a comprehension outside the per-packet branch).  New
-findings in these functions still fail CI until baselined or waived,
-which is the point: allocation creep in the hot path should be a
-conscious decision (see docs/PERFORMANCE.md).
+A deliberate instance (e.g. a comprehension outside the per-packet
+branch) carries a justified pragma; any other finding fails CI, which
+is the point: allocation creep in the hot path should be a conscious
+decision (see docs/PERFORMANCE.md).
 
 The manifest itself is checked: entries that no longer resolve to a
 function raise a ``hot-alloc`` stale finding, so refactors must keep it
@@ -197,13 +195,13 @@ def _scan_function(mod: Module, qual: str, fn: ast.AST, out: list[Finding]) -> N
     walk(fn, in_loop=False, in_fail_path=False)
 
 
-@rule("hot-alloc", tier="advisory")
+@rule("hot-alloc")
 def check_hot_alloc(project: Project) -> list[Finding]:
-    """Per-event allocation in manifest-listed hot functions (advisory).
+    """Per-event allocation in manifest-listed hot functions.
 
     Flags closures, comprehensions, string formatting and try-in-loop
-    inside the hot-function manifest; existing instances live in
-    baseline.json.  Also fails on stale manifest entries so the
+    inside the hot-function manifest; a deliberate instance carries a
+    justified pragma.  Also fails on stale manifest entries so the
     manifest tracks refactors.
     """
     out: list[Finding] = []

@@ -1,14 +1,1 @@
 """Traffic-generating applications used by the paper's experiments."""
-
-from repro.apps.openloop import OpenLoopSender, attach_openloop_workload
-from repro.apps.echo import EchoClient, attach_echo_servers, attach_echo_workload
-from repro.apps.incast import IncastClient
-
-__all__ = [
-    "OpenLoopSender",
-    "attach_openloop_workload",
-    "EchoClient",
-    "attach_echo_servers",
-    "attach_echo_workload",
-    "IncastClient",
-]

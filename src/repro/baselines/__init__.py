@@ -13,17 +13,3 @@
 * Basic      — Homa with one priority and unlimited overcommitment
   (``HomaConfig.basic()``), as in RAMCloud.
 """
-
-from repro.baselines.stream import StreamTransport
-from repro.baselines.phost import PHostTransport
-from repro.baselines.pfabric import PfabricTransport
-from repro.baselines.pias import PiasTransport
-from repro.baselines.ndp import NdpTransport
-
-__all__ = [
-    "StreamTransport",
-    "PHostTransport",
-    "PfabricTransport",
-    "PiasTransport",
-    "NdpTransport",
-]

@@ -46,7 +46,7 @@ from repro.core.packet import (
 )
 from repro.core.units import ps_per_byte
 from repro.transport.base import RecoveryConfig, Transport, gap_chunks
-from repro.transport.messages import InboundMessage, OutboundMessage
+from repro.transport.messages import InboundMessage, WindowMessage
 
 #: low priority for data packets; control/trimmed headers use CTRL_PRIO
 DATA_PRIO = 0
@@ -57,7 +57,7 @@ class _NdpFlow:
 
     __slots__ = ("msg", "pull_budget", "rtx", "marked")
 
-    def __init__(self, msg: OutboundMessage) -> None:
+    def __init__(self, msg: WindowMessage) -> None:
         self.msg = msg
         self.pull_budget = 0
         self.rtx: list[tuple[int, int]] = []
@@ -98,10 +98,10 @@ class NdpTransport(Transport):
     # sending
     # ------------------------------------------------------------------
 
-    def send_message(self, dst: int, length: int, **kwargs) -> OutboundMessage:
-        msg = OutboundMessage(self.sim.new_id(), True, self.hid, dst, length,
-                              unsched_limit=self.first_window,
-                              created_ps=self.sim.now)
+    def send_message(self, dst: int, length: int, **kwargs) -> WindowMessage:
+        msg = WindowMessage(self.sim.new_id(), True, self.hid, dst, length,
+                            unsched_limit=self.first_window,
+                            created_ps=self.sim.now)
         flow = _NdpFlow(msg)
         self._watch_outbound(msg.key, flow)
         self._mark(flow)

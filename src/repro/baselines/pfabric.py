@@ -36,7 +36,7 @@ from typing import Optional
 from repro.core.engine import Simulator
 from repro.core.packet import MAX_PAYLOAD, Packet, PacketType
 from repro.transport.base import RecoveryConfig, Transport
-from repro.transport.messages import OutboundMessage
+from repro.transport.messages import WindowMessage
 
 #: consecutive timeouts before a flow enters probe mode
 PROBE_AFTER = 5
@@ -48,7 +48,7 @@ class _PfabricFlow:
     __slots__ = ("msg", "unacked", "timeouts", "probing", "next_new",
                  "rec_rounds", "rec_last_ps")
 
-    def __init__(self, msg: OutboundMessage) -> None:
+    def __init__(self, msg: WindowMessage) -> None:
         self.msg = msg
         self.unacked: dict[int, tuple[int, int]] = {}  # offset -> (size, sent_ps)
         self.timeouts = 0
@@ -86,9 +86,9 @@ class PfabricTransport(Transport):
     # sending
     # ------------------------------------------------------------------
 
-    def send_message(self, dst: int, length: int, **kwargs) -> OutboundMessage:
-        msg = OutboundMessage(self.sim.new_id(), True, self.hid, dst, length,
-                              unsched_limit=length, created_ps=self.sim.now)
+    def send_message(self, dst: int, length: int, **kwargs) -> WindowMessage:
+        msg = WindowMessage(self.sim.new_id(), True, self.hid, dst, length,
+                            unsched_limit=length, created_ps=self.sim.now)
         self.outbound[msg.key] = _PfabricFlow(msg)
         self._ensure_timer()
         self.kick()

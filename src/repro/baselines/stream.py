@@ -32,7 +32,7 @@ from typing import Optional
 from repro.core.engine import Simulator
 from repro.core.packet import CTRL_PRIO, Packet, PacketType
 from repro.transport.base import RecoveryConfig, Transport
-from repro.transport.messages import InboundMessage, OutboundMessage
+from repro.transport.messages import InboundMessage, WindowMessage
 from repro.transport.rotation import ReadyRing
 
 
@@ -44,7 +44,7 @@ class _Connection:
     def __init__(self, peer: int, index: int, window: int) -> None:
         self.peer = peer
         self.index = index
-        self.queue: list[OutboundMessage] = []  # FIFO messages
+        self.queue: list[WindowMessage] = []  # FIFO messages
         self.in_flight = 0
         self.window = window
 
@@ -95,11 +95,11 @@ class StreamTransport(Transport):
 
     def send_message(self, dst: int, length: int, *, rpc_id: int | None = None,
                      is_request: bool = True,
-                     app_meta: int | None = None) -> OutboundMessage:
+                     app_meta: int | None = None) -> WindowMessage:
         rpc_id = rpc_id if rpc_id is not None else self.sim.new_id()
-        msg = OutboundMessage(rpc_id, is_request, self.hid, dst, length,
-                              unsched_limit=length,  # window governs pacing
-                              created_ps=self.sim.now, app_meta=app_meta)
+        msg = WindowMessage(rpc_id, is_request, self.hid, dst, length,
+                            unsched_limit=length,  # window governs pacing
+                            created_ps=self.sim.now, app_meta=app_meta)
         conn = self._connection_for(dst)
         conn.queue.append(msg)
         self._ring.mark(conn)
@@ -179,7 +179,7 @@ class StreamTransport(Transport):
             if cbs is not None and cbs[0] is not None:
                 cbs[0](msg.rpc_id, msg)
 
-    def respond(self, request: InboundMessage, length: int) -> OutboundMessage:
+    def respond(self, request: InboundMessage, length: int) -> WindowMessage:
         """Server side of an RPC: send the response on the stream."""
         return self.send_message(request.src, length, rpc_id=request.rpc_id,
                                  is_request=False)
@@ -206,7 +206,7 @@ class StreamTransport(Transport):
     # loss recovery (hooks only fire when a RecoveryConfig is present)
     # ------------------------------------------------------------------
 
-    def _repair(self, sending: tuple[OutboundMessage, _Connection]) -> None:
+    def _repair(self, sending: tuple[WindowMessage, _Connection]) -> None:
         """Sender timeout: unacked bytes below ``sent`` are presumed
         lost — release their window share and queue them for rtx."""
         msg, conn = sending
@@ -234,7 +234,7 @@ class StreamTransport(Transport):
         self._ring.mark(conn)
         self.kick()
 
-    def _forget_outbound(self, sending: tuple[OutboundMessage, _Connection]) -> None:
+    def _forget_outbound(self, sending: tuple[WindowMessage, _Connection]) -> None:
         """Retired short of its last ACK (a give-up): withdraw the
         message from its connection, release its window share and fail
         the RPC."""

@@ -7,19 +7,3 @@ NDP-style trimming), store-and-forward switches, hosts with a fixed
 software delay, and topology builders matching the paper's evaluation
 setups (Figure 11's 144-host fat-tree and the 16-host CloudLab cluster).
 """
-
-from repro.core.engine import Simulator
-from repro.core.packet import Packet, PacketType, wire_size
-from repro.core.topology import Network, NetworkConfig, build_network
-from repro.core import units
-
-__all__ = [
-    "Simulator",
-    "Packet",
-    "PacketType",
-    "wire_size",
-    "Network",
-    "NetworkConfig",
-    "build_network",
-    "units",
-]

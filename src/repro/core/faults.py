@@ -2,9 +2,7 @@
 
 Two independent mechanisms, both default-off and both seeded off the
 run's deterministic RNG stream (never wall-clock, never the global
-``random`` module; for fault observers
-``tests/test_faults.py::test_fault_schedule_fires_in_order_with_observer``
-fails on one that records wall-clock time instead of ``now_ps``):
+``random`` module):
 
 * :func:`install_loss` puts a Bernoulli drop filter on every switch of
   a layer with a nonzero rate in :class:`LossRates`.  All filters share
@@ -21,16 +19,14 @@ packet is recovered (or given up on) by the transport's §3.7 timeout
 machinery, not by any simulator-level bookkeeping.
 
 Determinism contract (docs/FABRICS.md): same spec + same seed ⇒ same
-drop decisions, same reroutes, same digests.  Callbacks subscribed via
-:meth:`FaultInjector.subscribe` receive ``(event, now_ps)`` and must
-derive any randomness from a seeded generator.
+drop decisions, same reroutes, same digests.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from repro.core.units import MS
 
@@ -135,28 +131,22 @@ class FaultInjector:
     files one simulator event per fault.  ``net.next_fault_ps`` is kept
     at the time of the next unapplied fault, so the fused switch ingress
     never appends a packet early across a buffer flush
-    (``core/topology.py``).  Observers registered with
-    ``subscribe(fn)`` are called as ``fn(event, now_ps)`` after each
-    application, in firing order and at simulated time only
+    (``core/topology.py``).  Faults apply in firing order, at simulated
+    time only
     (``tests/test_faults.py::test_fault_schedule_fires_in_order_with_observer``).
     """
 
-    __slots__ = ("sim", "net", "events", "applied", "_observers", "_due")
+    __slots__ = ("sim", "net", "events", "applied", "_due")
 
     def __init__(self, sim, net, events: Iterable[FaultEvent]) -> None:
         self.sim = sim
         self.net = net
         self.events = tuple(events)
         self.applied = 0
-        self._observers: list[Callable] = []
         #: fault times in firing order, then the no-fault sentinel
         self._due = sorted(ev.at_ps for ev in self.events) + [NO_FAULT_PS]
         for i, ev in enumerate(self.events):
             net.validate_fault_target(ev, i)
-
-    def subscribe(self, fn: Callable) -> None:
-        """Register ``fn(event, now_ps)`` to run after each fault."""
-        self._observers.append(fn)
 
     def arm(self) -> None:
         """Schedule every fault at its absolute simulation time."""
@@ -168,8 +158,6 @@ class FaultInjector:
         self.net.apply_fault(ev)
         self.applied += 1
         self.net.next_fault_ps = self._due[self.applied]
-        for fn in self._observers:
-            fn(ev, self.sim.now)
 
 
 def install_loss(net, loss: LossRates, seed: int) -> None:

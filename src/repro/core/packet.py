@@ -37,22 +37,6 @@ def wire_size(payload_bytes: int) -> int:
     return max(MIN_WIRE, payload_bytes + HEADER_BYTES + ETH_OVERHEAD)
 
 
-def packets_in(length: int) -> int:
-    """Number of data packets needed for a ``length``-byte message."""
-    if length <= 0:
-        raise ValueError(f"message length must be positive, got {length}")
-    return -(-length // MAX_PAYLOAD)
-
-
-def message_wire_bytes(length: int) -> int:
-    """Total on-wire bytes of the data packets of a message."""
-    full, rest = divmod(length, MAX_PAYLOAD)
-    total = full * FULL_WIRE
-    if rest:
-        total += wire_size(rest)
-    return total
-
-
 class PacketType(IntEnum):
     """All packet kinds used by any protocol in this repository.
 
@@ -159,8 +143,3 @@ class Packet:
             f"Packet({self.kind.name} {self.src}->{self.dst} rpc={self.rpc_id}"
             f" off={self.offset} len={self.payload} prio={self.prio})"
         )
-
-
-def msg_key(rpc_id: int, is_request: bool) -> int:
-    """Message identity used by transports (matches ``Packet.msg_key``)."""
-    return (rpc_id << 1) | (1 if is_request else 0)

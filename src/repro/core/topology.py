@@ -542,7 +542,7 @@ class TopologySpec:
     connected through every core.
 
     Oversubscription is an emergent ratio of the declared shape
-    (``tor_oversubscription``/``aggr_oversubscription``), not an input:
+    (``aggr_oversubscription``), not an input:
     pick ``hosts_per_rack``/``aggrs``/``cores`` and link speeds to hit a
     target ratio.
 
@@ -649,24 +649,12 @@ class TopologySpec:
         return self.cores // self.aggrs if self.aggrs else 0
 
     @property
-    def tor_oversubscription(self) -> float:
-        """Host capacity entering a ToR over its uplink capacity."""
-        if self.racks_total == 1:
-            return 0.0
-        return ((self.hosts_per_rack * self.host_gbps)
-                / (self.aggrs * self.aggr_gbps))
-
-    @property
     def aggr_oversubscription(self) -> float:
         """ToR capacity entering an aggr over its core-link capacity."""
         if self.levels == 2:
             return 0.0
         return ((self.racks * self.aggr_gbps)
                 / (self.core_links_per_aggr * self.core_gbps))
-
-    def is_clean(self) -> bool:
-        """No loss, no faults: nothing on this fabric destroys packets."""
-        return not self.loss.any() and not self.faults
 
     # -- payload round-trip ---------------------------------------------
 

@@ -29,24 +29,6 @@ def ps_per_byte(gbps: int) -> int:
     return _PS_BITS // gbps
 
 
-def tx_time_ps(wire_bytes: int, gbps: int) -> int:
-    """Serialization time of ``wire_bytes`` at ``gbps``."""
-    return wire_bytes * ps_per_byte(gbps)
-
-
 def bytes_per_sec(gbps: int) -> float:
     """Link capacity in bytes per second."""
     return gbps * 1e9 / 8.0
-
-
-def fmt_time(ps: int) -> str:
-    """Human-readable rendering of a picosecond timestamp or duration."""
-    if ps >= SEC:
-        return f"{ps / SEC:.3f}s"
-    if ps >= MS:
-        return f"{ps / MS:.3f}ms"
-    if ps >= US:
-        return f"{ps / US:.3f}us"
-    if ps >= NS:
-        return f"{ps / NS:.1f}ns"
-    return f"{ps}ps"

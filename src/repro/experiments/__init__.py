@@ -1,5 +1,1 @@
 """Experiment harness: one runner, plus scenario builders per figure."""
-
-from repro.experiments.runner import ExperimentConfig, ExperimentResult, run_experiment
-
-__all__ = ["ExperimentConfig", "ExperimentResult", "run_experiment"]

@@ -144,20 +144,15 @@ def decode_spec(wire_spec: dict) -> Any:
 
 # -- the resumable journal -----------------------------------------------
 
-def sweep_id(specs: list[CampaignSpec], fresh: bool) -> str:
-    """Identity of one sweep: the exact cell set plus the fresh flag.
+def sweep_id(specs: list[CampaignSpec], hashes: list[list[str]],
+             fresh: bool) -> str:
+    """Identity of one sweep: the exact cell set (``hashes[i]`` holds the
+    ``cell_hash`` of each cell of ``specs[i]``) plus the fresh flag.
 
     A journal is only trusted by a restart running the *same* sweep —
     any edit to the grid (or to simulator code, via ``cell_hash``'s
     fingerprint) changes the id and retires the old journal.
     """
-    return _sweep_id(specs, [[cell_hash(cell) for cell in spec.cells]
-                             for spec in specs], fresh)
-
-
-def _sweep_id(specs: list[CampaignSpec], hashes: list[list[str]],
-              fresh: bool) -> str:
-    """``sweep_id`` over cell hashes the caller already computed."""
     digest = hashlib.sha256()
     digest.update(b"fresh" if fresh else b"cached")
     for spec, chashes in zip(specs, hashes):
@@ -627,7 +622,7 @@ def _run_sweep(specs: list[CampaignSpec],
     start = time.monotonic()
 
     hashes = [[cell_hash(cell) for cell in spec.cells] for spec in specs]
-    sweep = _sweep_id(specs, hashes, fresh)
+    sweep = sweep_id(specs, hashes, fresh)
     journal = Journal(sweep, [s.name for s in specs],
                       cache.dir / "journal" if journal_dir is None
                       else journal_dir)

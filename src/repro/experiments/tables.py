@@ -48,10 +48,3 @@ def kv_table(title: str, rows: Sequence[tuple[str, str]]) -> str:
     for key, value in rows:
         lines.append(f"  {key:<{width}} : {value}")
     return "\n".join(lines)
-
-
-def comparison_line(label: str, paper_value, measured_value,
-                    unit: str = "") -> str:
-    """One paper-vs-measured row."""
-    return (f"  {label:<38} paper: {paper_value!s:>10}{unit}   "
-            f"measured: {measured_value!s:>10}{unit}")

@@ -7,14 +7,3 @@ scheduled and unscheduled packets, controlled overcommitment, the
 RESEND/BUSY loss machinery, connectionless at-least-once RPCs, and
 incast control.
 """
-
-from repro.homa.config import HomaConfig
-from repro.homa.priorities import PriorityAllocation, allocate_priorities
-from repro.homa.transport import HomaTransport
-
-__all__ = [
-    "HomaConfig",
-    "HomaTransport",
-    "PriorityAllocation",
-    "allocate_priorities",
-]

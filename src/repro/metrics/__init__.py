@@ -1,22 +1,1 @@
 """Measurement machinery for reproducing the paper's figures/tables."""
-
-from repro.metrics.slowdown import BucketStats, SlowdownTracker
-from repro.metrics.queues import QueueLengthProbe, QueueStats
-from repro.metrics.bandwidth import ThroughputMeter, WastedBandwidthTracker
-from repro.metrics.control import ControlTraffic
-from repro.metrics.priousage import PriorityUsage
-from repro.metrics.delays import DelayDecomposition
-from repro.metrics.probes import CompositeProbe
-
-__all__ = [
-    "BucketStats",
-    "ControlTraffic",
-    "SlowdownTracker",
-    "QueueLengthProbe",
-    "QueueStats",
-    "ThroughputMeter",
-    "WastedBandwidthTracker",
-    "PriorityUsage",
-    "DelayDecomposition",
-    "CompositeProbe",
-]

@@ -61,12 +61,6 @@ class ControlTraffic:
                    rtx_recovered=recovered, give_ups=gaveups,
                    outbound_give_ups=out_gaveups)
 
-    @property
-    def total(self) -> int:
-        """All control packets put on the wire (ticks are not packets,
-        and retransmitted DATA is data)."""
-        return self.grants + self.resends + self.busys
-
     def to_payload(self) -> dict:
         return {
             "grants": self.grants,

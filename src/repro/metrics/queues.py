@@ -52,9 +52,6 @@ class QueueLevelStats:
     mean_kb: float
     max_kb: float
 
-    def row(self) -> str:
-        return f"{self.label:<12} mean {self.mean_kb:7.1f} KB   max {self.max_kb:8.1f} KB"
-
 
 class QueueStats:
     """Attaches queue probes to every switch port, grouped by level."""

@@ -9,7 +9,6 @@ axis is linear in total number of messages, with ticks corresponding to
 
 from __future__ import annotations
 
-import bisect
 import sys
 from array import array
 from base64 import b64decode, b64encode
@@ -30,10 +29,6 @@ class BucketStats:
     p50: float
     p99: float
     mean: float
-
-    def row(self) -> str:
-        return (f"{self.lo + 1:>9}-{self.hi:<9} {self.count:>8} "
-                f"{self.p50:>8.2f} {self.p99:>9.2f} {self.mean:>8.2f}")
 
 
 def _pack(column: array) -> str:
@@ -174,8 +169,3 @@ class SlowdownTracker:
             raise ValueError(f"series reports p50 or p99, not {percentile!r}")
         key = "p99" if percentile == 99 else "p50"
         return [getattr(b, key) for b in self.bucket_report(edges)]
-
-
-def bucket_index(edges: list[int], size: int) -> int:
-    """Bucket index of a size given ascending edges (first edge exclusive)."""
-    return max(0, bisect.bisect_left(edges, size, lo=1) - 1)

@@ -1,6 +1,1 @@
 """Transport-layer building blocks shared by Homa and the baselines."""
-
-from repro.transport.base import Transport
-from repro.transport.messages import InboundMessage, Intervals, OutboundMessage
-
-__all__ = ["Transport", "InboundMessage", "Intervals", "OutboundMessage"]

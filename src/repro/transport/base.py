@@ -98,9 +98,6 @@ class RecoveryTracker:
         self._watch: dict[int, list[int]] = {}  # key -> [tries, deadline_ps]
         self._timer = None
 
-    def __len__(self) -> int:
-        return len(self._watch)
-
     def watch(self, key: int) -> None:
         """Start (or keep) tracking ``key``; no-op if already watched."""
         if key not in self._watch:
@@ -207,15 +204,11 @@ class Transport:
     def bind(self, host) -> None:
         self.host = host
         self.hid = host.hid
-        # Shadow the method with the NIC's bound kick, and keep a direct
-        # egress reference: transports touch these once or more per
-        # packet, so skip the attribute chase.
+        # ``self.kick()`` tells the NIC that new work may be available.
+        # Bind it, and keep a direct egress reference: transports touch
+        # these once or more per packet, so skip the attribute chase.
         self.kick = host.egress.kick
         self._egress = host.egress
-
-    def kick(self) -> None:
-        """Tell the NIC that new work may be available."""
-        self.host.egress.kick()
 
     # ------------------------------------------------------------------
     # sending

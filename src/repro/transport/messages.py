@@ -109,9 +109,6 @@ class Intervals:
             return ranges[0][1]
         return 0
 
-    def __len__(self) -> int:
-        return len(self._ranges)
-
 
 class OutboundMessage:
     """Sender-side view of one message.
@@ -128,7 +125,7 @@ class OutboundMessage:
     __slots__ = (
         "rpc_id", "is_request", "src", "dst", "length", "sent", "granted",
         "grant_prio", "unsched_limit", "created_ps", "rtx", "app_meta",
-        "incast", "acked", "in_flight", "sort_seq", "key",
+        "incast", "sort_seq", "key",
     )
 
     def __init__(
@@ -158,9 +155,6 @@ class OutboundMessage:
         self.rtx: list[list[int]] = []
         self.app_meta = app_meta
         self.incast = False
-        # Used by the window-based baselines (pFabric / NDP / stream):
-        self.acked = Intervals()
-        self.in_flight = 0
         # Last tie-break of Homa's SRPT orders (the sender's pull, the
         # receiver's ranking): assigned by the transport in registration
         # order, which makes each of those keys a total order.
@@ -232,6 +226,20 @@ class OutboundMessage:
             self.sent += size
             return (offset, size, False)
         return None
+
+
+class WindowMessage(OutboundMessage):
+    """An outbound message whose sender tracks per-packet acknowledgements
+    (the window-based baselines: pFabric, NDP, stream): ``acked`` holds
+    the acknowledged byte ranges, ``in_flight`` the bytes sent and not
+    yet acknowledged."""
+
+    __slots__ = ("acked", "in_flight")
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.acked = Intervals()
+        self.in_flight = 0
 
 
 class InboundMessage:

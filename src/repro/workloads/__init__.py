@@ -1,21 +1,1 @@
 """The paper's five workloads (Figure 1) and load computation helpers."""
-
-from repro.workloads.distributions import EmpiricalCDF
-from repro.workloads.catalog import WORKLOADS, Workload, get_workload
-from repro.workloads.loadcalc import (
-    TrafficEstimate,
-    arrival_rate_per_host,
-    estimate_traffic,
-    per_message_wire_bytes,
-)
-
-__all__ = [
-    "EmpiricalCDF",
-    "WORKLOADS",
-    "Workload",
-    "get_workload",
-    "TrafficEstimate",
-    "estimate_traffic",
-    "per_message_wire_bytes",
-    "arrival_rate_per_host",
-]

@@ -141,10 +141,3 @@ def arrival_rate_per_host(
     traffic = estimate_traffic(cdf, unsched_limit, samples=samples)
     wire = per_message_wire_bytes(protocol, traffic)
     return load * bytes_per_sec(link_gbps) / wire
-
-
-def mean_interarrival_ps(rate_per_sec: float) -> float:
-    """Mean interarrival time in picoseconds for a Poisson process."""
-    if rate_per_sec <= 0:
-        raise ValueError(f"rate must be positive, got {rate_per_sec}")
-    return 1e12 / rate_per_sec

@@ -11,7 +11,7 @@ from repro.experiments.scale import (
     effective_load,
     scaled_kwargs,
 )
-from repro.experiments.tables import comparison_line, fmt, kv_table, series_table
+from repro.experiments.tables import fmt, kv_table, series_table
 
 
 def test_scales_defined():
@@ -65,11 +65,6 @@ def test_series_table_renders_all_buckets():
 def test_kv_table():
     text = kv_table("title", [("key", "value"), ("k2", "v2")])
     assert "title" in text and "value" in text
-
-
-def test_comparison_line():
-    line = comparison_line("x", 1, 2)
-    assert "paper" in line and "measured" in line
 
 
 def quick_base(**kw):

@@ -56,6 +56,21 @@ def square_spec(n=6, name="farmtest"):
         for i in range(n)])
 
 
+def sweep_of(spec, fresh=False):
+    return farm.sweep_id([spec], [[cell_hash(c) for c in spec.cells]], fresh)
+
+
+def wire_items(spec, cache):
+    """The coordinator's queue entries for ``spec``'s cells."""
+    return [farm._Item(campaign=spec.name, cell=c,
+                       path=cache.path_for(spec.name, c),
+                       chash=cell_hash(c),
+                       cell_id=f"{spec.name}/{cell_hash(c)}",
+                       wire_spec=farm.encode_spec(c.spec),
+                       cost=1.0)
+            for c in spec.cells]
+
+
 def run_farm_with_workers(specs, tmp_path, *, workers=2, die_after=None,
                           stagger=False, **kw):
     """run_farm with in-thread workers launched once the port is known.
@@ -263,10 +278,10 @@ def test_parse_address():
 
 def test_sweep_id_tracks_cells_and_fresh_flag():
     spec = square_spec()
-    base = farm.sweep_id([spec], False)
-    assert base == farm.sweep_id([spec], False)
-    assert base != farm.sweep_id([spec], True)
-    assert base != farm.sweep_id([square_spec(n=5)], False)
+    base = sweep_of(spec)
+    assert base == sweep_of(spec)
+    assert base != sweep_of(spec, fresh=True)
+    assert base != sweep_of(square_spec(n=5))
 
 
 # -- the journal ---------------------------------------------------------
@@ -274,7 +289,7 @@ def test_sweep_id_tracks_cells_and_fresh_flag():
 
 def test_journal_records_resume_and_complete(tmp_path):
     spec = square_spec(n=3)
-    sweep = farm.sweep_id([spec], False)
+    sweep = sweep_of(spec)
     j = farm.Journal(sweep, [spec.name], tmp_path)
     hashes = [cell_hash(c) for c in spec.cells]
     j.record(spec.name, hashes[0], spec.cells[0])
@@ -291,7 +306,7 @@ def test_journal_records_resume_and_complete(tmp_path):
 
 def test_journal_tolerates_torn_tail_line(tmp_path):
     spec = square_spec(n=2)
-    sweep = farm.sweep_id([spec], False)
+    sweep = sweep_of(spec)
     j = farm.Journal(sweep, [spec.name], tmp_path)
     h = cell_hash(spec.cells[0])
     j.record(spec.name, h, spec.cells[0])
@@ -307,7 +322,7 @@ def test_journal_retires_other_sweeps_records(tmp_path):
     old = farm.Journal("feedfacefeedface", [spec.name], tmp_path)
     old.record(spec.name, cell_hash(spec.cells[0]), spec.cells[0])
 
-    sweep = farm.sweep_id([spec], False)
+    sweep = sweep_of(spec)
     j = farm.Journal(sweep, [spec.name], tmp_path)
     assert j.done[spec.name] == set()  # stale journal not trusted
     h = cell_hash(spec.cells[1])
@@ -422,16 +437,10 @@ def test_undecodable_result_fails_its_cell_and_is_never_cached(tmp_path,
 
 def test_duplicate_delivery_is_idempotent(tmp_path):
     spec = square_spec(n=2)
-    sweep = farm.sweep_id([spec], False)
+    sweep = sweep_of(spec)
     cache = ResultCache(tmp_path / "cache")
     journal = farm.Journal(sweep, [spec.name], tmp_path / "journal")
-    items = [farm._Item(campaign=spec.name, cell=c,
-                        path=cache.path_for(spec.name, c),
-                        chash=cell_hash(c),
-                        cell_id=f"{spec.name}/{cell_hash(c)}",
-                        wire_spec=farm.encode_spec(c.spec),
-                        cost=1.0)
-             for c in spec.cells]
+    items = wire_items(spec, cache)
     state = farm._FarmState(items, retry_budget=2, cache=cache,
                             journal=journal)
     cell_id = items[0].cell_id
@@ -442,6 +451,28 @@ def test_duplicate_delivery_is_idempotent(tmp_path):
     assert state.duplicates == 1
     assert items[0].path.read_bytes() == first_bytes
     assert len(journal.done[spec.name]) == 1
+
+
+def test_released_worker_cells_requeue_in_sorted_order(tmp_path):
+    """A dead worker's cells go back to the front of the queue in an
+    order fixed by their ids, never by set iteration (which string
+    hashing randomizes per process): ``release_worker`` walks
+    ``sorted(holding)`` and pushes each to the front, so the largest id
+    leads."""
+    spec = square_spec(n=10)
+    cache = ResultCache(tmp_path / "cache")
+    journal = farm.Journal(sweep_of(spec), [spec.name], tmp_path / "journal")
+    items = wire_items(spec, cache)
+    state = farm._FarmState(items, retry_budget=2, cache=cache,
+                            journal=journal)
+    worker = farm._WorkerConn(None, "w0")
+    for _ in items:
+        assert state.checkout(worker)[0] == "cell"
+    assert len(worker.holding) == 10
+    state.release_worker(worker)
+    assert [it.cell_id for it in state.wire_queue] == sorted(
+        (it.cell_id for it in items), reverse=True)
+    assert state.requeues == 10 and not state.in_flight
 
 
 def test_unknown_cell_delivery_is_a_protocol_error(tmp_path):

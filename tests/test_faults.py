@@ -64,7 +64,7 @@ def test_clean_spec_digests_byte_identical_to_plain_config():
     plain = run_experiment(ExperimentConfig(
         racks=3, hosts_per_rack=8, aggrs=2, **GOLDEN))
     spec = TopologySpec(levels=2, racks=3, hosts_per_rack=8, aggrs=2)
-    assert spec.is_clean()
+    assert not spec.loss.any() and not spec.faults
     fabric = run_experiment(ExperimentConfig(fabric=spec, **GOLDEN))
     assert plain.tracker.slowdowns, "vacuous golden run"
     assert plain.tracker.slowdowns == fabric.tracker.slowdowns
@@ -332,12 +332,25 @@ def test_switch_down_kills_every_packet_that_reaches_it():
     assert net.aggrs[0].routed_drops > 0
 
 
+def watch_faults(net, sim, seen: list) -> None:
+    """Observe each fault the injector applies: wrap the fabric's
+    ``apply_fault`` and record ``(event, sim time, next_fault_ps)``."""
+    apply = net.apply_fault
+
+    def observed(ev):
+        seen.append((ev, sim.now, net.next_fault_ps))
+        apply(ev)
+
+    net.apply_fault = observed
+
+
 def test_fault_schedule_fires_in_order_with_observer():
     sim, net, _ = fabric_cluster(LOSSY3, seed=3)
     injector = net.fault_injector
-    seen = []
-    injector.subscribe(lambda ev, now_ps: seen.append((ev.target, now_ps)))
+    fired = []
+    watch_faults(net, sim, fired)
     sim.run(until_ps=1 * MS)
+    seen = [(ev.target, now_ps) for ev, now_ps, _ in fired]
     assert injector.applied == 3
     assert seen == [("tor0:aggr0.1", int(0.4 * MS)),
                     ("core3", int(0.6 * MS)),
@@ -360,15 +373,19 @@ def test_next_fault_time_tracks_the_schedule():
         FaultEvent(0.02, "link", "down", "tor1:aggr1.0"),
     ))
     sim, net, _ = fabric_cluster(spec)
-    seen = []
-    net.fault_injector.subscribe(
-        lambda ev, now_ps: seen.append((now_ps, net.next_fault_ps)))
+    fired = []
+    watch_faults(net, sim, fired)
     assert net.next_fault_ps == 10 * US
     sim.run(until_ps=15 * US)
     assert net.next_fault_ps == 20 * US
     sim.run()
-    assert seen == [(10 * US, 20 * US), (20 * US, 20 * US),
-                    (20 * US, 30 * US), (30 * US, NO_FAULT_PS)]
+    # Each fault fires while next_fault_ps still names it (never a
+    # later one), in time order, ties in declaration order.
+    assert [(ev.at_ps, now_ps, due) for ev, now_ps, due in fired] == [
+        (10 * US, 10 * US, 10 * US), (20 * US, 20 * US, 20 * US),
+        (20 * US, 20 * US, 20 * US), (30 * US, 30 * US, 30 * US)]
+    assert [ev.target for ev, _, _ in fired][1:3] == ["core0",
+                                                     "tor1:aggr1.0"]
     assert net.next_fault_ps == NO_FAULT_PS
     for clean in (fabric_cluster(NARROW3)[1], small_net(racks=2, aggrs=1)[1]):
         assert clean.next_fault_ps == NO_FAULT_PS

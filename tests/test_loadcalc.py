@@ -15,7 +15,6 @@ from repro.workloads.loadcalc import (
     PROTOCOLS,
     arrival_rate_per_host,
     estimate_traffic,
-    mean_interarrival_ps,
     per_message_wire_bytes,
 )
 
@@ -222,9 +221,3 @@ def test_arrival_rate_sane_magnitude_w4():
     cdf = WORKLOADS["W4"].cdf
     rate = arrival_rate_per_host("homa", cdf, 0.8, samples=50_000)
     assert 2e3 < rate < 2e4
-
-
-def test_mean_interarrival_ps():
-    assert mean_interarrival_ps(1e6) == pytest.approx(1e6)  # 1M msg/s -> 1 us
-    with pytest.raises(ValueError):
-        mean_interarrival_ps(0)

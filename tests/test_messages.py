@@ -31,7 +31,7 @@ def test_intervals_contiguous_merge():
     iv.add(0, 100)
     iv.add(100, 200)
     assert iv.total == 200
-    assert len(iv) == 1
+    assert len(iv._ranges) == 1
     assert iv.contiguous_prefix() == 200
 
 
@@ -57,7 +57,7 @@ def test_intervals_fill_gap():
     iv.add(200, 300)
     iv.add(100, 200)
     assert iv.total == 300
-    assert len(iv) == 1
+    assert len(iv._ranges) == 1
     assert iv.first_gap(300) is None
 
 

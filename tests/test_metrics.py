@@ -19,7 +19,7 @@ from repro.core.topology import NetworkConfig, build_network
 from repro.metrics.bandwidth import _IdleWithheldAccount
 from repro.metrics.probes import CompositeProbe, attach_probe
 from repro.metrics.queues import QueueLengthProbe
-from repro.metrics.slowdown import SlowdownTracker, bucket_index
+from repro.metrics.slowdown import SlowdownTracker
 from repro.core.port import PortProbe, QueuedPort
 
 
@@ -281,14 +281,6 @@ def test_series_rejects_percentiles_it_has_no_column_for():
     assert tracker.series(edges, 99) == [b.p99 for b in report]
     with pytest.raises(ValueError, match="90"):
         tracker.series(edges, 90)
-
-
-def test_bucket_index():
-    edges = [0, 10, 100, 1000]
-    assert bucket_index(edges, 5) == 0
-    assert bucket_index(edges, 10) == 0
-    assert bucket_index(edges, 11) == 1
-    assert bucket_index(edges, 1000) == 2
 
 
 # ---------------------------------------------------------------------------

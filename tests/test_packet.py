@@ -10,11 +10,9 @@ from repro.core.packet import (
     MIN_WIRE,
     Packet,
     PacketType,
-    message_wire_bytes,
-    msg_key,
-    packets_in,
     wire_size,
 )
+from repro.transport.messages import OutboundMessage
 
 
 def test_full_packet_wire_size():
@@ -37,32 +35,6 @@ def test_wire_size_rejects_negative():
         wire_size(-1)
 
 
-@pytest.mark.parametrize(
-    "length,expected",
-    [(1, 1), (MAX_PAYLOAD, 1), (MAX_PAYLOAD + 1, 2), (10 * MAX_PAYLOAD, 10)],
-)
-def test_packets_in(length, expected):
-    assert packets_in(length) == expected
-
-
-def test_packets_in_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        packets_in(0)
-
-
-def test_message_wire_bytes_single_full_packet():
-    assert message_wire_bytes(MAX_PAYLOAD) == FULL_WIRE
-
-
-def test_message_wire_bytes_with_partial_tail():
-    expected = FULL_WIRE + wire_size(100)
-    assert message_wire_bytes(MAX_PAYLOAD + 100) == expected
-
-
-def test_message_wire_bytes_tiny():
-    assert message_wire_bytes(1) == MIN_WIRE
-
-
 def test_packet_defaults():
     pkt = Packet(1, 2, PacketType.GRANT)
     assert pkt.prio == CTRL_PRIO
@@ -74,12 +46,16 @@ def test_packet_msg_key_distinguishes_direction():
     request = Packet(1, 2, PacketType.DATA, rpc_id=7, is_request=True)
     response = Packet(2, 1, PacketType.DATA, rpc_id=7, is_request=False)
     assert request.msg_key != response.msg_key
-    assert request.msg_key == msg_key(7, True)
-    assert response.msg_key == msg_key(7, False)
+    # A packet names the message it belongs to by the message's own key.
+    for pkt, is_request in ((request, True), (response, False)):
+        msg = OutboundMessage(7, is_request, 1, 2, 100, unsched_limit=100,
+                              created_ps=0)
+        assert pkt.msg_key == msg.key
 
 
 def test_msg_key_unique_across_rpcs():
-    keys = {msg_key(rpc, flag) for rpc in range(100) for flag in (True, False)}
+    keys = {Packet(1, 2, PacketType.DATA, rpc_id=rpc, is_request=flag).msg_key
+            for rpc in range(100) for flag in (True, False)}
     assert len(keys) == 200
 
 

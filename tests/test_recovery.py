@@ -71,7 +71,7 @@ def assert_no_leaks(transports):
                 f"{list(held)[:4]}")
         for attr in TRACKERS:
             tracker = getattr(t, attr, None)
-            assert tracker is None or len(tracker) == 0, (
+            assert tracker is None or not tracker._watch, (
                 f"{t.protocol_name} host {t.hid} leaked tracker {attr}")
         # Stream connections: residual queue entries must be inert
         # (fully sent, nothing queued for retransmission).
@@ -453,7 +453,7 @@ def test_late_ack_after_give_up_is_a_noop(protocol):
     sim.run(until_ps=sim.now + 500 * MS)
     assert sim.run(until_ps=sim.now + 50 * MS) == 0, "retries never ended"
     assert sender.outbound_gaveups == 1
-    assert not sender.outbound and len(sender._out_watch) == 0
+    assert not sender.outbound and not sender._out_watch._watch
     assert not SENDER_SLOTS[protocol](sender)
     ack = Packet(2, 0, PacketType.ACK, rpc_id=msg.rpc_id, is_request=True,
                  offset=0, range_end=msg.length)

@@ -24,11 +24,6 @@ def test_ps_per_byte_rejects_nonpositive():
         units.ps_per_byte(-10)
 
 
-def test_tx_time():
-    # A full 1538-byte frame at 10 Gbps takes 1.2304 us.
-    assert units.tx_time_ps(1538, 10) == 1_230_400
-
-
 def test_bytes_per_sec():
     assert units.bytes_per_sec(10) == 1.25e9
 
@@ -37,14 +32,3 @@ def test_constants_consistent():
     assert units.US == 1000 * units.NS
     assert units.MS == 1000 * units.US
     assert units.SEC == 1000 * units.MS
-
-
-@pytest.mark.parametrize("ps,expected", [
-    (500, "500ps"),
-    (1_500, "1.5ns"),
-    (2_500_000, "2.500us"),
-    (3_000_000_000, "3.000ms"),
-    (4_000_000_000_000, "4.000s"),
-])
-def test_fmt_time(ps, expected):
-    assert units.fmt_time(ps) == expected
