@@ -103,6 +103,7 @@ KEEP = {
     "transport/base.py::Transport.send_message": _HOOK,
     "transport/base.py::Transport.on_packet": _HOOK,
     "transport/base.py::Transport._repair": _HOOK,
+    "apps/openloop.py::PoissonSource._send": _HOOK,
     "core/packet.py::Packet.__repr__": "debugging aid",
     "workloads/distributions.py::EmpiricalCDF.__repr__": "debugging aid",
 }

@@ -4,7 +4,8 @@
 per packet in the canonical 144-host benches: the event loop and
 schedulers, port enqueue/dequeue, the fused switch ingress, the Homa
 grant path, the senders' NIC pulls, the baselines' shared receiver,
-and the per-message sample recording.  Inside those functions we flag constructs
+and per message the generators' draws and sends, Homa's whole-message
+receive and the sample recording.  Inside those functions we flag constructs
 that allocate or pay per call:
 
 * nested ``def`` / ``lambda``   — a fresh closure object per call;
@@ -61,13 +62,21 @@ HOT_FUNCTIONS: dict[str, frozenset[str]] = {
     "src/repro/core/topology.py": frozenset(
         {
             "Network._make_ingress.<locals>.ingress",
+            # once per completed message: the slowdown's denominator
+            "Network.min_oneway_between",
         }
     ),
+    # Once per delivered packet: files the transport's on_packet.
+    "src/repro/core/host.py": frozenset({"Host.ingress"}),
     "src/repro/homa/transport.py": frozenset(
         {
             "HomaTransport._next_data",
             "HomaTransport._make_data_packet",
             "HomaTransport._on_data",
+            # Per message: a new message's first packet carries all of
+            # it (99% of W1's), and the sender's record.
+            "HomaTransport._arrived_whole",
+            "HomaTransport._new_outbound",
             # Per-message receiver hooks of the shared receiver.
             "HomaTransport._registered",
             "HomaTransport._forget_inbound",
@@ -127,9 +136,24 @@ HOT_FUNCTIONS: dict[str, frozenset[str]] = {
         {
             "SlowdownTracker.record_oneway",
             "SlowdownTracker.record_rpc",
-            "SlowdownTracker._push",
         }
     ),
+    # Once per message: the sizes and destinations the generators
+    # draw, and the generators' sends.
+    "src/repro/workloads/distributions.py": frozenset(
+        {
+            "EmpiricalCDF.sample_one",
+            "UniformIndex.draw",
+        }
+    ),
+    "src/repro/apps/openloop.py": frozenset(
+        {
+            "PoissonSource._peer",
+            "PoissonSource._schedule_next",
+            "OpenLoopSender._send",
+        }
+    ),
+    "src/repro/apps/echo.py": frozenset({"EchoClient._send"}),
 }
 
 

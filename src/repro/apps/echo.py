@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-import numpy as np
-
+from repro.apps.openloop import PoissonSource
 from repro.core.engine import Simulator
 from repro.core.topology import Network
 from repro.workloads.distributions import EmpiricalCDF
@@ -29,7 +28,7 @@ def attach_echo_servers(transports, hosts: list[int]) -> None:
         transports[hid].rpc_handler = echo_handler
 
 
-class EchoClient:
+class EchoClient(PoissonSource):
     """Open-loop Poisson echo-RPC client on one host."""
 
     def __init__(
@@ -45,32 +44,16 @@ class EchoClient:
         on_complete: Optional[Callable] = None,
         max_rpcs: int | None = None,
     ) -> None:
-        self.sim = sim
-        self.transport = transport
-        self.servers = servers
-        self.cdf = cdf
-        self.mean_ia_ps = 1e12 / rate_per_sec
-        self.rng = np.random.default_rng(seed)
-        self.stop_ps = stop_ps
         self.on_complete = on_complete
-        self.max_rpcs = max_rpcs
-        self.submitted = 0
         self.completed = 0
         self.errors = 0
         self._sizes: dict[int, tuple[int, int, int]] = {}  # rpc -> (dst, size, t0)
-        self._schedule_next()
-
-    def _schedule_next(self) -> None:
-        delay = int(self.rng.exponential(self.mean_ia_ps)) + 1
-        if self.sim.now + delay >= self.stop_ps:
-            return
-        if self.max_rpcs is not None and self.submitted >= self.max_rpcs:
-            return
-        self.sim.schedule(delay, self._send)
+        super().__init__(sim, transport, servers, cdf, rate_per_sec,
+                         seed=seed, stop_ps=stop_ps, cap=max_rpcs)
 
     def _send(self) -> None:
         size = self.cdf.sample_one(self.rng)
-        dst = self.servers[self.rng.integers(len(self.servers))]
+        dst = self._peer()
         rpc_id = self.transport.send_rpc(
             dst, size, on_response=self._on_response, on_error=self._on_error)
         self._sizes[rpc_id] = (dst, size, self.sim.now)

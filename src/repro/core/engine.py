@@ -118,10 +118,11 @@ class Simulator:
         NOTE: the push sequence (seq bump, [time, seq, fn, arg] list,
         horizon test, heappush-or-_file_far) is inlined at the hottest
         call sites — core/port.py (transmit paths), core/host.py
-        (ingress), core/topology.py (fused switch ingress).  A change
-        to the filing rules here must be mirrored there, and delays at
-        those sites are structurally non-negative (wire sizes and
-        fixed positive latencies).
+        (ingress), core/topology.py (fused switch ingress), and once
+        per message apps/openloop.py (``PoissonSource._schedule_next``).
+        A change to the filing rules here must be mirrored there, and
+        delays at those sites are structurally non-negative (wire sizes,
+        fixed positive latencies, and exponential gaps plus one).
         """
         b1 = time_ps >> L1_SHIFT
         if b1 <= self._cursor1:

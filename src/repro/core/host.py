@@ -20,7 +20,7 @@ class Host:
     """One server: id, rack, an uplink NIC port, and a transport."""
 
     __slots__ = ("sim", "hid", "rack", "egress", "transport",
-                 "software_delay_ps")
+                 "software_delay_ps", "_on_packet")
 
     def __init__(self, sim: Simulator, hid: int, rack: int, software_delay_ps: int) -> None:
         self.sim = sim
@@ -29,10 +29,16 @@ class Host:
         self.egress: PullPort | None = None
         self.transport = None
         self.software_delay_ps = software_delay_ps
+        # The transport's ``on_packet``, bound once at ``attach``: each
+        # delivery event calls it directly.
+        self._on_packet = None
 
     def attach(self, transport) -> None:
-        """Bind a transport to this host (and the NIC to the transport)."""
+        """Bind a transport to this host (and the NIC to the transport).
+        Attach again after replacing ``transport.on_packet`` (a tap) so
+        deliveries reach the replacement."""
         self.transport = transport
+        self._on_packet = transport.on_packet
         self.egress.source = transport.next_packet
         transport.bind(self)
 
@@ -42,11 +48,8 @@ class Host:
         sim = self.sim
         time_ps = sim.now + self.software_delay_ps
         sim._seq += 1
-        event = [time_ps, sim._seq, self._deliver, pkt]
+        event = [time_ps, sim._seq, self._on_packet, pkt]
         if time_ps < sim._horizon:
             heappush(sim._heap, event)
         else:
             sim._file_far(event, time_ps)
-
-    def _deliver(self, pkt: Packet) -> None:
-        self.transport.on_packet(pkt)

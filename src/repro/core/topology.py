@@ -446,12 +446,10 @@ class Network:
         delay (faster links cannot queue behind one host-speed source).
 
         Includes the receiver's software delay, matching the paper's
-        "minimum one-way time for a small message is 2.3 us".
+        "minimum one-way time for a small message is 2.3 us".  The
+        result is cached per ``(length, tier)``; ``min_oneway_between``
+        reads the cache before calling this.
         """
-        key = (length, tier)
-        cached = self._oneway_cache.get(key)
-        if cached is not None:
-            return cached
         spec = self.spec
         ppb_h = ps_per_byte(spec.host_gbps)
         sw = spec.switch_delay_ns * NS
@@ -486,7 +484,7 @@ class Network:
                 cum += rest_wire * ppb_h
                 result = max(result, cum + transit + rest_wire * per_byte)
         result += spec.software_delay_ns * NS
-        self._oneway_cache[key] = result
+        self._oneway_cache[(length, tier)] = result
         return result
 
     # The oracle is addressed by endpoints: callers name a concrete
@@ -502,7 +500,10 @@ class Network:
             tier = 1
         else:
             tier = 2
-        return self._min_oneway_tier_ps(length, tier)
+        cached = self._oneway_cache.get((length, tier))
+        if cached is None:
+            return self._min_oneway_tier_ps(length, tier)
+        return cached
 
     def min_rpc_between(self, src: int, dst: int,
                         request: int, response: int) -> int:

@@ -353,3 +353,4 @@ def _install_delay_taps(transports, delays: DelayDecomposition) -> None:
             original(pkt)
 
         transport.on_packet = tapped
+        transport.host.attach(transport)  # deliver through the tap

@@ -202,10 +202,8 @@ class HomaTransport(Transport):
     def send_message(self, dst: int, length: int, *, unsched_limit: int | None = None,
                      app_meta: int | None = None) -> OutboundMessage:
         """Send a one-way message (the paper's simulation workloads)."""
-        rpc_id = self.sim.new_id()
-        return self._new_outbound(rpc_id, True, dst, length,
-                                  unsched_limit=unsched_limit,
-                                  app_meta=app_meta, incast=False)
+        return self._new_outbound(self.sim.new_id(), True, dst, length,
+                                  unsched_limit, app_meta, False)
 
     def send_rpc(
         self,
@@ -220,8 +218,8 @@ class HomaTransport(Transport):
         rpc_id = self.sim.new_id()
         incast = (self.cfg.incast_control
                   and len(self.client_rpcs) >= self.cfg.incast_threshold)
-        request = self._new_outbound(rpc_id, True, dst, length,
-                                     app_meta=app_meta, incast=incast)
+        request = self._new_outbound(rpc_id, True, dst, length, None,
+                                     app_meta, incast)
         self.client_rpcs[rpc_id] = ClientRpc(
             rpc_id, dst, request, self.sim.now, on_response, on_error, incast)
         self._ensure_timer()
@@ -234,18 +232,20 @@ class HomaTransport(Transport):
             # Incast control (3.6): scheduled delivery for marked RPCs.
             unsched = min(self.cfg.incast_response_unsched, length)
         response = self._new_outbound(server_rpc.rpc_id, False,
-                                      server_rpc.client, length,
-                                      unsched_limit=unsched, incast=False)
+                                      server_rpc.client, length, unsched,
+                                      None, False)
         server_rpc.response = response
         return response
 
-    def _new_outbound(self, rpc_id, is_request, dst, length, *,
-                      unsched_limit=None, app_meta=None, incast=False) -> OutboundMessage:
+    def _new_outbound(self, rpc_id, is_request, dst, length, unsched_limit,
+                      app_meta, incast) -> OutboundMessage:
+        """Register a new outbound message (``unsched_limit`` None: the
+        transport's); every caller passes all seven arguments
+        positionally, as for the message constructors."""
         msg = OutboundMessage(
             rpc_id, is_request, self.hid, dst, length,
-            unsched_limit=unsched_limit if unsched_limit is not None
-            else self.unsched_limit,
-            created_ps=self.sim.now, app_meta=app_meta)
+            self.unsched_limit if unsched_limit is None else unsched_limit,
+            self.sim.now, app_meta)
         msg.incast = incast
         # Always new to ``outbound``: _index_outbound's check, skipped.
         msg.sort_seq = next(self._sort_seq)
@@ -261,12 +261,17 @@ class HomaTransport(Transport):
         """One SRPT pass: the sendable message with the fewest bytes
         left to send, then the oldest, then the first registered."""
         best = None
-        best_key = None
+        best_left = 0
         for msg in self.outbound.values():
             if msg.sent < msg.granted or msg.rtx:
-                key = (msg.length - msg.sent, msg.created_ps, msg.sort_seq)
-                if best_key is None or key < best_key:
-                    best, best_key = msg, key
+                left = msg.length - msg.sent
+                # (left, created_ps, sort_seq) < best's, comparing the
+                # bytes left first: a tie-break tuple only on a tie
+                if (best is None or left < best_left
+                        or left == best_left
+                        and (msg.created_ps, msg.sort_seq)
+                        < (best.created_ps, best.sort_seq)):
+                    best, best_left = msg, left
         if best is None:
             return None
         offset, size, is_rtx = best.next_chunk()
@@ -336,24 +341,30 @@ class HomaTransport(Transport):
         if msg is None:
             if not pkt.is_request and pkt.rpc_id not in self.client_rpcs:
                 return  # duplicate response for a completed RPC: drop
-            msg = self._inbound_for(pkt)
+            whole = not pkt.offset and pkt.payload >= pkt.total_length
+            msg = (self._arrived_whole(pkt) if whole
+                   else self._inbound_for(pkt))
             if msg is None:
                 return  # late copy of a message completed after a RESEND
-        if pkt.grant_offset > msg.granted:
-            msg.granted = min(pkt.grant_offset, msg.length)
-            if msg.granted >= msg.length and self._grantable.pop(key, None):
-                self._grant_dirty = True
-        # InboundMessage.record, inlined (per data packet).
-        msg.last_activity_ps = self.sim.now
-        end = pkt.offset + pkt.payload
-        if msg.received.add(pkt.offset,
-                            end if end < msg.length else msg.length):
-            msg.resends = 0  # progress resets the retry budget
-            if pkt.retx:
-                self.rtx_recovered += 1
-        if msg.received.total >= msg.length:  # msg.is_complete(), inlined
-            self._complete(msg)
-            self._inbound_finished(msg)
+        else:
+            whole = False
+        if not whole:
+            if pkt.grant_offset > msg.granted:
+                msg.granted = min(pkt.grant_offset, msg.length)
+                if msg.granted >= msg.length and self._grantable.pop(key, None):
+                    self._grant_dirty = True
+            # InboundMessage.record, inlined (per data packet).
+            msg.last_activity_ps = self.sim.now
+            end = pkt.offset + pkt.payload
+            if msg.received.add(pkt.offset,
+                                end if end < msg.length else msg.length):
+                msg.resends = 0  # progress resets the retry budget
+                if pkt.retx:
+                    self.rtx_recovered += 1
+            if msg.received.total >= msg.length:  # msg.is_complete(), inlined
+                self._complete(msg)
+                self._inbound_finished(msg)
+        # The grant/timer tail, for every data arrival.
         interval = self._grant_interval_ps
         if not interval:
             n = self._grant_batch_pkts
@@ -385,9 +396,31 @@ class HomaTransport(Transport):
         if self.estimator is not None:
             self._maybe_refresh_allocation()
 
-    def _registered(self, msg: InboundMessage) -> None:
+    def _arrived_whole(self, pkt: Packet) -> Optional[InboundMessage]:
+        """First sight of a message whose first packet carries all of it
+        (99% of W1's messages): the effects of ``_inbound_for``,
+        recording the bytes and ``_complete`` — the ``sort_seq`` draw,
+        the estimator, ``response_started``, ``_grant_dirty``, the
+        retransmission count, the report and the RPC hand-off — without
+        the message ever entering ``inbound`` or ``_grantable``.  None
+        for a late copy (the done-memory check comes first)."""
+        if self._done_memory and self._late_copy(pkt):
+            return None
+        msg = InboundMessage(pkt.rpc_id, pkt.is_request, pkt.src, self.hid,
+                             pkt.total_length, self.sim.now, pkt.created_ps,
+                             pkt.app_meta, pkt.incast)
+        msg.received.add(0, msg.length)
+        self._registered(msg, False)
+        if pkt.retx:
+            self.rtx_recovered += 1
+        self._report_complete(msg)
+        self._inbound_finished(msg)
+        return msg
+
+    def _registered(self, msg: InboundMessage, grantable: bool = True) -> None:
         msg.sort_seq = next(self._sort_seq)
-        self._grantable[msg.key] = msg
+        if grantable:
+            self._grantable[msg.key] = msg
         self._grant_dirty = True
         if self.estimator is not None:
             self.estimator.record(msg.length)

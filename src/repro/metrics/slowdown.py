@@ -105,8 +105,9 @@ class SlowdownTracker:
         """Record a one-way message (the section 5.2 experiments)."""
         if created_ps < self.warmup_ps:
             return
-        oracle = self.net.min_oneway_between(src, dst, size)
-        self._push(size, (completed_ps - created_ps) / oracle)
+        self.sizes.append(size)
+        self.slowdowns.append((completed_ps - created_ps)
+                              / self.net.min_oneway_between(src, dst, size))
 
     def record_rpc(self, src: int, dst: int, request: int, response: int,
                    created_ps: int, completed_ps: int) -> None:
@@ -115,12 +116,8 @@ class SlowdownTracker:
         if created_ps < self.warmup_ps:
             return
         oracle = self.net.min_rpc_between(src, dst, request, response)
-        self._push(max(request, response),
-                   (completed_ps - created_ps) / oracle)
-
-    def _push(self, size: int, slowdown: float) -> None:
-        self.sizes.append(size)
-        self.slowdowns.append(slowdown)
+        self.sizes.append(max(request, response))
+        self.slowdowns.append((completed_ps - created_ps) / oracle)
 
     @property
     def count(self) -> int:

@@ -269,15 +269,11 @@ class Transport:
         msg = self.inbound.get(key)
         if msg is not None:
             return msg
-        if self._done_memory and self._recently_done(key):
-            self._note_done(key)  # refresh: the peer is still retrying
-            self._reack(pkt)
+        if self._done_memory and self._late_copy(pkt):
             return None
         msg = InboundMessage(pkt.rpc_id, pkt.is_request, pkt.src, self.hid,
-                             pkt.total_length, now_ps=self.sim.now)
-        msg.created_ps = pkt.created_ps
-        msg.app_meta = pkt.app_meta
-        msg.incast = pkt.incast
+                             pkt.total_length, self.sim.now, pkt.created_ps,
+                             pkt.app_meta, pkt.incast)
         self.inbound[key] = msg
         self._registered(msg)
         if self._in_watch is not None:
@@ -411,9 +407,15 @@ class Transport:
         for old_key in expired:
             del memory[old_key]
 
-    def _recently_done(self, key: int) -> bool:
-        """True if ``key`` completed within the peer's retry span —
-        a data packet for it is a late retransmission to re-acknowledge,
-        not a new message."""
+    def _late_copy(self, pkt: Packet) -> bool:
+        """True if ``pkt``'s message completed within the peer's retry
+        span: the packet is a late retransmission, so refresh the
+        memory (the peer is still retrying) and re-acknowledge it
+        instead of registering a new message."""
+        key = pkt.msg_key
         expiry = self._done_memory.get(key)
-        return expiry is not None and expiry >= self.sim.now
+        if expiry is None or expiry < self.sim.now:
+            return False
+        self._note_done(key)
+        self._reack(pkt)
+        return True

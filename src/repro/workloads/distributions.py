@@ -19,9 +19,58 @@ density is ``dq / (s ln(b/a))``, so E[S; bracket] = dq (b-a)/ln(b/a).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import Sequence
 
 import numpy as np
+
+
+class UniformIndex:
+    """``rng.integers(n)`` for one positive ``n`` below 2**32, bit for
+    bit, without numpy's per-call overhead.
+
+    numpy draws a bounded integer by Lemire's method on a 32-bit word
+    (``buffered_bounded_lemire_uint32``), and its 32-bit words are the
+    two halves of one 64-bit draw, low half first: the bit generator
+    buffers the high half for the next 32-bit request.  This class
+    keeps that buffer itself and takes its 64-bit draws from
+    ``random_raw``, which — like ``random()`` and ``exponential()`` —
+    never touches numpy's own buffer.  So the stream matches numpy's
+    as long as nothing else asks ``rng`` for 32-bit words
+    (``integers`` does).  ``n == 1`` draws nothing, as in numpy.
+    ``tests/test_draws.py`` pins it against numpy.
+    """
+
+    __slots__ = ("_raw", "_half")
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._raw = rng.bit_generator.random_raw
+        self._half = -1  # the buffered high half; -1: none
+
+    def draw(self, n: int) -> int:
+        if n == 1:
+            return 0
+        threshold = -1  # 2**32 % n, computed only if a word needs it
+        while True:
+            half = self._half
+            if half < 0:
+                raw = self._raw()
+                self._half = raw >> 32
+                m = (raw & 0xFFFFFFFF) * n
+            else:
+                self._half = -1
+                m = half * n
+            low = m & 0xFFFFFFFF
+            if low >= n:
+                return m >> 32
+            # Lemire's rejection test (reached with probability n/2**32)
+            if threshold < 0:
+                if not 0 < n < 0x100000000:
+                    raise ValueError(
+                        f"UniformIndex draws 1 <= n < 2**32, not {n}")
+                threshold = 0x100000000 % n
+            if low >= threshold:
+                return m >> 32
 
 
 class EmpiricalCDF:
@@ -59,6 +108,14 @@ class EmpiricalCDF:
         self._qs = np.asarray(qs)
         self._sizes = np.asarray(sizes)
         self._logs = np.log(self._sizes)
+        # ``sample_one``'s plain-float copies: the quantiles, the logs
+        # (numpy's, bit for bit) and each bracket's slope, computed as
+        # ``np.interp`` computes it.
+        self._q_list = qs
+        self._log_list = self._logs.tolist()
+        self._slopes = [
+            (self._log_list[j + 1] - self._log_list[j]) / (qs[j + 1] - qs[j])
+            for j in range(len(qs) - 1)]
 
     # ------------------------------------------------------------------
     # sampling
@@ -72,10 +129,24 @@ class EmpiricalCDF:
         return units * self.unit_bytes
 
     def sample_one(self, rng: np.random.Generator) -> int:
-        """Draw a single message size in bytes."""
+        """Draw a single message size in bytes.
+
+        The same draw as ``sample(rng, 1)``, without numpy's per-call
+        overhead: a bisection of the quantile list, then ``np.interp``'s
+        own arithmetic within the bracket, ``slope * (u - q[j]) +
+        log[j]`` (``log[j]`` exactly when ``u`` is an anchor), so the
+        result is bit-identical (``tests/test_draws.py`` pins
+        it against ``np.interp``)."""
         u = rng.random()
-        log_size = float(np.interp(u, self._qs, self._logs))
-        return max(1, round(math.exp(log_size))) * self.unit_bytes
+        qs = self._q_list
+        j = bisect_right(qs, u) - 1
+        if u == qs[j]:
+            log_size = self._log_list[j]
+        else:
+            log_size = self._slopes[j] * (u - qs[j]) + self._log_list[j]
+        # No max(1, ...): log_size >= log(sizes[0]) >= 0 (slopes are
+        # non-negative), so the rounded size is at least one unit.
+        return round(math.exp(log_size)) * self.unit_bytes
 
     # ------------------------------------------------------------------
     # analytic integrals (continuous approximation, byte arguments)

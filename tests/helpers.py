@@ -170,3 +170,9 @@ def collect_completions(transports):
     for transport in transports:
         transport.on_message_complete = make_hook(transport.hid)
     return records
+
+
+def push_sample(tracker, size, slowdown):
+    """Append one sample to a tracker's two columns, as recording does."""
+    tracker.sizes.append(size)
+    tracker.slowdowns.append(slowdown)

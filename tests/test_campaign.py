@@ -28,6 +28,8 @@ from repro.metrics.control import ControlTraffic, FabricHealth
 from repro.metrics.queues import QueueLevelStats
 from repro.metrics.slowdown import SlowdownTracker
 
+from tests.helpers import push_sample
+
 
 def small_cfg(**kw):
     """A sub-second single-rack run."""
@@ -137,8 +139,8 @@ def test_payload_round_trip_covers_every_field():
     assert back == cfg
 
     recorded = SlowdownTracker(None, warmup_ps=123)
-    recorded._push(100, 1.5)
-    recorded._push(200, 2.5)
+    push_sample(recorded, 100, 1.5)
+    push_sample(recorded, 200, 2.5)
     tracker = SlowdownTracker.from_payload(recorded.to_payload())
     result = ExperimentResult(
         cfg=cfg, tracker=tracker, submitted=5, completed=4, pending=1,
@@ -175,8 +177,8 @@ def test_payload_round_trip_covers_every_field():
 
 def test_tracker_from_payload_reports_without_net():
     tracker = SlowdownTracker(None)
-    tracker._push(10, 1.5)
-    tracker._push(20, 2.5)
+    push_sample(tracker, 10, 1.5)
+    push_sample(tracker, 20, 2.5)
     back = SlowdownTracker.from_payload(tracker.to_payload())
     assert back.overall(50) == 2.0
     assert back.count == 2

@@ -246,3 +246,75 @@ def test_grant_for_finished_message_ignored():
                                is_request=True, grant_offset=99_999,
                                grant_prio=1))
     assert not transport.outbound
+
+
+# -- whole-message receive -------------------------------------------------
+#
+# A new message whose first packet covers [0, total_length) (99% of
+# W1's) completes without entering ``inbound`` or ``_grantable``; every
+# other effect of registering, recording and completing it still runs.
+
+
+class _Recording(dict):
+    """A dict that remembers every key ever stored in it."""
+
+    def __init__(self):
+        super().__init__()
+        self.stored = []
+
+    def __setitem__(self, key, value):
+        self.stored.append(key)
+        super().__setitem__(key, value)
+
+
+def test_whole_message_keeps_no_receiver_state():
+    sim, transport = make_transport()
+    transport.inbound = _Recording()
+    transport._grantable = _Recording()
+    reported = []
+    transport.on_message_complete = lambda msg, now: reported.append(msg)
+    transport.on_packet(data_packet(1, 100, 0, 1000, 1000, created=7))
+    assert transport.inbound.stored == transport._grantable.stored == []
+    assert not transport.inbound and not transport._grantable
+    assert transport.messages_received == 1
+    assert transport.bytes_received == 1000
+    (msg,) = reported
+    assert (msg.src, msg.length, msg.created_ps, msg.bytes_received) == (
+        1, 1000, 7, 1000)
+    # It took the next registration number, as a registered message does.
+    assert msg.sort_seq == 1
+    assert transport._new_outbound(5, True, 1, 10, None, None,
+                                   False).sort_seq == 2
+    assert transport._grant_dirty is False  # the ranking pass ran
+    assert transport._timer_event is None  # nothing left to time out
+
+
+def test_whole_message_late_copy_is_dropped_by_done_memory():
+    """The message completes off the copy its RESEND asked for; the
+    original whole packet, arriving late, must not be delivered again."""
+    sim, transport = make_transport()
+    interval = transport.cfg.resend_interval_ps
+    transport.on_packet(data_packet(1, 100, 500, 500, 1000))  # tail first
+    sim.run(until_ps=interval)
+    (resend,) = [p for p in drain_ctrl(transport)
+                 if p.kind == PacketType.RESEND]
+    assert (resend.offset, resend.range_end) == (0, 500)
+    transport.on_packet(data_packet(1, 100, 0, 500, 1000))  # the repair
+    assert transport.messages_received == 1
+    transport.on_packet(data_packet(1, 100, 0, 1000, 1000))  # late whole copy
+    assert transport.messages_received == 1
+    assert not transport.inbound and not transport._grantable
+
+
+def test_whole_message_triggers_count_mode_ranking():
+    """Under ``grant_batch_pkts`` a new message ranks at once (it sets
+    ``_grant_dirty``), also when its first packet completes it."""
+    cfg = HomaConfig(grant_batch_ns=0, grant_batch_pkts=10)
+    sim, transport = make_transport(cfg)
+    transport.on_packet(data_packet(1, 100, 0, MAX_PAYLOAD, 200_000))
+    transport.on_packet(data_packet(1, 100, MAX_PAYLOAD, MAX_PAYLOAD,
+                                    200_000))
+    assert (transport.grant_ticks, transport._data_since_grant) == (1, 1)
+    transport.on_packet(data_packet(2, 101, 0, 1000, 1000))
+    assert (transport.grant_ticks, transport._data_since_grant) == (2, 0)
+    assert list(transport.inbound) == [(100 << 1) | 1]

@@ -174,6 +174,7 @@ def test_unscheduled_priority_depends_on_message_length():
         original(pkt)
 
     receiver.on_packet = spy
+    receiver.host.attach(receiver)  # deliver through the spy
     transports[0].send_message(1, 50)
     transports[0].send_message(1, 1400)
     sim.run(until_ps=5 * MS)
@@ -193,6 +194,7 @@ def test_data_packet_count_is_minimal():
         original(pkt)
 
     receiver.on_packet = spy
+    receiver.host.attach(receiver)  # deliver through the spy
     length = 100_000
     transports[0].send_message(1, length)
     sim.run(until_ps=20 * MS)

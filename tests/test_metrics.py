@@ -22,6 +22,8 @@ from repro.metrics.queues import QueueLengthProbe
 from repro.metrics.slowdown import SlowdownTracker
 from repro.core.port import PortProbe, QueuedPort
 
+from tests.helpers import push_sample
+
 
 def make_net():
     return build_network(Simulator(), NetworkConfig())
@@ -65,7 +67,7 @@ def test_tracker_bucket_report():
     net = make_net()
     tracker = SlowdownTracker(net)
     for size, slowdown in ((50, 1.0), (50, 3.0), (500, 2.0)):
-        tracker._push(size, slowdown)
+        push_sample(tracker, size, slowdown)
     report = tracker.bucket_report([0, 100, 1000])
     assert report[0].count == 2
     assert report[0].p50 == pytest.approx(2.0)
@@ -76,7 +78,7 @@ def test_tracker_bucket_report():
 def test_tracker_empty_bucket_is_nan():
     net = make_net()
     tracker = SlowdownTracker(net)
-    tracker._push(50, 1.0)
+    push_sample(tracker, 50, 1.0)
     report = tracker.bucket_report([0, 10, 100])
     assert math.isnan(report[0].p50)
     assert report[1].count == 1

@@ -448,6 +448,7 @@ def test_late_ack_after_give_up_is_a_noop(protocol):
     sim, net, transports = protocol_cluster(protocol, ARMED, seed=1)
     sender = transports[0]
     transports[2].on_packet = lambda pkt: None
+    transports[2].host.attach(transports[2])  # deliver to the deaf stub
     msg = sender.send_message(2, 4_000)
     assert msg.key in sender.outbound
     sim.run(until_ps=sim.now + 500 * MS)

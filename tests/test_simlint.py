@@ -293,8 +293,7 @@ def test_hot_manifest_names_the_sample_recorders():
     from repro.analysis.rules_hotpath import HOT_FUNCTIONS
 
     assert HOT_FUNCTIONS["src/repro/metrics/slowdown.py"] == {
-        "SlowdownTracker.record_oneway", "SlowdownTracker.record_rpc",
-        "SlowdownTracker._push"}
+        "SlowdownTracker.record_oneway", "SlowdownTracker.record_rpc"}
 
 
 # -- quadratic-pop ------------------------------------------------------
