@@ -44,6 +44,19 @@ _LOSS_SEED_MUL = 104729
 _LOSS_SEED_OFF = 77
 
 
+def from_fields(cls, payload: dict, **decoded):
+    """``cls(**payload)`` for a dataclass ``cls``, with ``decoded``
+    replacing the JSON forms of nested values.  A payload whose keys are
+    not exactly the field names raises: a defaulted field missing from
+    it must not decode as its default (a run record of zeros)."""
+    names = cls.__dataclass_fields__.keys()
+    if payload.keys() != names:
+        raise ValueError(
+            f"{cls.__name__} payload: missing {sorted(names - payload.keys())}"
+            f", unknown {sorted(payload.keys() - names)}")
+    return cls(**{**payload, **decoded})
+
+
 @dataclass(frozen=True)
 class LossRates:
     """Per-layer Bernoulli packet-loss probabilities, in ``[0, 1)``."""
@@ -70,14 +83,6 @@ class LossRates:
         if level in ("tor", "aggr", "core"):
             return getattr(self, level)
         return 0.0
-
-    @classmethod
-    def from_payload(cls, payload: dict | None) -> "LossRates":
-        if not payload:
-            return cls()
-        return cls(tor=payload.get("tor", 0.0),
-                   aggr=payload.get("aggr", 0.0),
-                   core=payload.get("core", 0.0))
 
 
 @dataclass(frozen=True)
@@ -117,11 +122,6 @@ class FaultEvent:
     @property
     def at_ps(self) -> int:
         return int(self.at_ms * MS)
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "FaultEvent":
-        return cls(at_ms=payload["at_ms"], kind=payload["kind"],
-                   action=payload["action"], target=payload["target"])
 
 
 class FaultInjector:

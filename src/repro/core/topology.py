@@ -25,7 +25,7 @@ from typing import Iterable
 
 from repro.core.engine import Simulator
 from repro.core.faults import (NO_FAULT_PS, FaultEvent, FaultInjector,
-                               LossRates, install_loss)
+                               LossRates, from_fields, install_loss)
 from repro.core.host import Host
 from repro.core.packet import FULL_WIRE, MAX_PAYLOAD, MIN_WIRE, Packet, wire_size
 from repro.core.port import BasePort, PfabricPort, PullPort, QueuedPort
@@ -661,14 +661,11 @@ class TopologySpec:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "TopologySpec":
-        data = dict(payload)
-        loss = data.pop("loss", None)
-        if not isinstance(loss, LossRates):
-            loss = LossRates.from_payload(loss)
-        faults = tuple(
-            ev if isinstance(ev, FaultEvent) else FaultEvent.from_payload(ev)
-            for ev in data.pop("faults", None) or ())
-        return cls(loss=loss, faults=faults, **data)
+        """The inverse of ``dataclasses.asdict`` after a JSON round trip."""
+        return from_fields(
+            cls, payload, loss=from_fields(LossRates, payload["loss"]),
+            faults=tuple(from_fields(FaultEvent, ev)
+                         for ev in payload["faults"]))
 
 
 def build_fabric(sim: Simulator, spec: TopologySpec, *, seed: int = 1,

@@ -29,6 +29,9 @@ Robustness model (docs/CAMPAIGNS.md, farm section):
   its cells are requeued, and nothing reaches the cache or journal.
   A result is decoded before it is cached: one that will not decode
   fails its cell with a ``CampaignCellError`` and is never stored.
+* **Code identity** — ``hello`` carries the worker's
+  ``code_fingerprint()``.  A worker on another checkout is refused
+  there, as for a protocol mismatch, and is never handed a cell.
 * **Resumability** — every completed cell, local or farmed, is appended
   to a per-campaign journal (``<cache dir>/journal/<campaign>.jsonl``)
   tagged with a sweep id.  A killed run restarted on the same spec
@@ -67,6 +70,7 @@ from repro.experiments.campaign import (
     _resolve,
     _sanitize,
     cell_hash,
+    code_fingerprint,
     resolve_jobs,
 )
 from repro.experiments.runner import ExperimentConfig
@@ -412,6 +416,8 @@ class FarmCoordinator:
         self.sweep = sweep
         self.quiet = quiet
         self.liveness_timeout_s = liveness_timeout_s
+        #: the simulator source every worker must run (``hello.code``)
+        self.code = code_fingerprint()
         self._server = socket.create_server((host, port))
         self.host, self.port = self._server.getsockname()[:2]
         self._lock = threading.Lock()
@@ -463,6 +469,11 @@ class FarmCoordinator:
                            "reason": f"protocol {PROTOCOL_VERSION} required,"
                                      f" worker speaks "
                                      f"{hello.get('protocol')!r}"})
+                return
+            if hello.get("code") != self.code:  # another checkout
+                conn.send({"type": "abort",
+                           "reason": f"code {self.code} required, worker "
+                                     f"runs {hello.get('code')!r}"})
                 return
             worker.name = str(hello.get("worker") or worker.name)
             with self._lock:
@@ -823,7 +834,7 @@ def worker_loop(host: str, port: int, *, name: str | None = None,
     received = 0
     try:
         conn.send({"type": "hello", "protocol": PROTOCOL_VERSION,
-                   "worker": label})
+                   "code": code_fingerprint(), "worker": label})
         welcome = conn.recv()
         if welcome is None:
             return 0

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import gc
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from repro.apps.echo import attach_echo_workload
 from repro.apps.openloop import attach_openloop_workload
 from repro.core.engine import Simulator
+from repro.core.faults import from_fields
 from repro.core.packet import PacketType
 from repro.core.topology import (
     NetworkConfig,
@@ -75,19 +76,17 @@ class ExperimentConfig:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "ExperimentConfig":
-        data = dict(payload)
-        homa = data.pop("homa", None)
+        """The inverse of ``to_payload`` after a JSON round trip."""
+        homa = payload["homa"]
         if homa is not None:
-            homa = dict(homa)
-            if homa.get("cutoff_override") is not None:
-                homa["cutoff_override"] = tuple(homa["cutoff_override"])
-            homa = HomaConfig(**homa)
-        fabric = data.pop("fabric", None)
-        if fabric is not None and not isinstance(fabric, TopologySpec):
+            cutoffs = homa["cutoff_override"]
+            homa = from_fields(HomaConfig, homa, cutoff_override=(
+                None if cutoffs is None else tuple(cutoffs)))
+        fabric = payload["fabric"]
+        if fabric is not None:
             fabric = TopologySpec.from_payload(fabric)
-        data["collect"] = tuple(data.get("collect") or ())
-        data["net_overrides"] = dict(data.get("net_overrides") or {})
-        return cls(homa=homa, fabric=fabric, **data)
+        return from_fields(cls, payload, homa=homa, fabric=fabric,
+                           collect=tuple(payload["collect"]))
 
 
 @dataclass
@@ -146,61 +145,34 @@ class ExperimentResult:
         return self.tracker.series(self.bucket_edges(), percentile)
 
     def to_payload(self) -> dict:
-        """Compact JSON-safe form: everything figures read from a run,
-        without live simulator objects, so results can cross process
-        boundaries and persist in the on-disk campaign cache.  Every
-        float round-trips exactly — scalars through json's repr, the
-        per-message samples as the tracker's packed float64 column — so
-        slowdown digests of a rehydrated result are byte-identical to
-        the original.  ``from_payload`` holds the samples as the same two
-        typed columns the live tracker records into (16 bytes a sample,
-        no per-sample object); everything else is a few scalars."""
-        return {
-            "cfg": self.cfg.to_payload(),
-            "tracker": self.tracker.to_payload(),
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "pending": self.pending,
-            "sim_time_ms": self.sim_time_ms,
-            "events": self.events,
-            "wall_seconds": self.wall_seconds,
-            "queue_rows": [[row.label, row.mean_kb, row.max_kb]
-                           for row in self.queue_rows],
-            "prio_fractions": list(self.prio_fractions),
-            "wasted_fraction": self.wasted_fraction,
-            "total_utilization": self.total_utilization,
-            "app_utilization": self.app_utilization,
-            "delay_breakdown": list(self.delay_breakdown),
-            "aborted": self.aborted,
-            "control": self.control.to_payload(),
-            "backlog_mid_bytes": self.backlog_mid_bytes,
-            "backlog_end_bytes": self.backlog_end_bytes,
-            "fabric": self.fabric.to_payload(),
-        }
+        """JSON-safe form, one key per field, for the process pool, the
+        farm wire and the on-disk cache.  Every float round-trips
+        exactly (scalars through json's repr, the samples as the
+        tracker's packed float64 column), so a rehydrated result's
+        slowdown digests are byte-identical (docs/CAMPAIGNS.md)."""
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload.update(
+            cfg=self.cfg.to_payload(),
+            tracker=self.tracker.to_payload(),
+            queue_rows=[asdict(row) for row in self.queue_rows],
+            delay_breakdown=list(self.delay_breakdown),
+            control=self.control.to_payload(),
+            fabric=self.fabric.to_payload(),
+        )
+        return payload
 
     @classmethod
     def from_payload(cls, payload: dict) -> "ExperimentResult":
-        return cls(
+        """The inverse of ``to_payload`` (``from_fields`` checks keys)."""
+        return from_fields(
+            cls, payload,
             cfg=ExperimentConfig.from_payload(payload["cfg"]),
             tracker=SlowdownTracker.from_payload(payload["tracker"]),
-            submitted=payload["submitted"],
-            completed=payload["completed"],
-            pending=payload["pending"],
-            sim_time_ms=payload["sim_time_ms"],
-            events=payload["events"],
-            wall_seconds=payload["wall_seconds"],
-            queue_rows=[QueueLevelStats(label=label, mean_kb=mean, max_kb=mx)
-                        for label, mean, mx in payload["queue_rows"]],
-            prio_fractions=list(payload["prio_fractions"]),
-            wasted_fraction=payload["wasted_fraction"],
-            total_utilization=payload["total_utilization"],
-            app_utilization=payload["app_utilization"],
+            queue_rows=[from_fields(QueueLevelStats, row)
+                        for row in payload["queue_rows"]],
             delay_breakdown=tuple(payload["delay_breakdown"]),
-            aborted=payload["aborted"],
-            control=ControlTraffic.from_payload(payload.get("control")),
-            backlog_mid_bytes=payload["backlog_mid_bytes"],
-            backlog_end_bytes=payload["backlog_end_bytes"],
-            fabric=FabricHealth.from_payload(payload.get("fabric")),
+            control=ControlTraffic.from_payload(payload["control"]),
+            fabric=FabricHealth.from_payload(payload["fabric"]),
         )
 
 

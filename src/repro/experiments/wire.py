@@ -35,9 +35,11 @@ import socket
 import threading
 
 #: bumped when the frame vocabulary or the payload format inside result
-#: frames changes incompatibly (2: packed sample columns); hello/welcome
-#: frames carry it so mismatched peers fail fast with a clear message
-PROTOCOL_VERSION = 2
+#: frames changes incompatibly (2: packed sample columns; 3: hello names
+#: the worker's code fingerprint, queue rows are field objects);
+#: hello/welcome frames carry it so mismatched peers fail fast with a
+#: clear message
+PROTOCOL_VERSION = 3
 
 #: hard per-frame ceiling — a single cell payload is a few hundred KB
 #: even at paper scale, so anything near this is a framing bug, not data

@@ -276,7 +276,7 @@ class HomaTransport(Transport):
             return None
         offset, size, is_rtx = best.next_chunk()
         if best.sent >= best.length and not best.rtx:  # fully_sent(), inlined
-            self._outbound_finished(best)
+            self._retire(best.key)
         return self._make_data_packet(best, offset, size, is_rtx)
 
     def _index_outbound(self, msg: OutboundMessage) -> None:
@@ -305,9 +305,10 @@ class HomaTransport(Transport):
             msg.created_ps,
         )
 
-    def _outbound_finished(self, msg: OutboundMessage) -> None:
-        """All bytes handed to the NIC: drop sender state where allowed."""
-        self.outbound.pop(msg.key, None)
+    def _forget_outbound(self, msg: OutboundMessage) -> None:
+        """An outbound message left ``outbound`` through ``_retire``:
+        fully handed to the NIC, its client RPC aborted, or given up by
+        the peer-liveness GC."""
         if msg.is_request:
             rpc = self.client_rpcs.get(msg.rpc_id)
             if rpc is not None:
@@ -690,7 +691,7 @@ class HomaTransport(Transport):
         The ghost starts fully sent (``sent == granted == length``) so
         only the queued retransmission range ever transmits; once the
         range drains, ``fully_sent`` cleans it up through the normal
-        ``_outbound_finished`` path.
+        ``_retire`` path.
         """
         length = pkt.total_length
         end = pkt.range_end if pkt.range_end <= length else length
@@ -809,7 +810,8 @@ class HomaTransport(Transport):
                 # Abort (3.7): no response byte ever arrived, so the
                 # request is all the state left.
                 self.client_rpcs.pop(rpc.rpc_id, None)
-                self.outbound.pop((rpc.rpc_id << 1) | 1, None)
+                if rpc.request.key in self.outbound:
+                    self._retire(rpc.request.key)
                 self._signal_error(rpc)
                 continue
             # RESEND for the response, even though the request may have
@@ -845,11 +847,8 @@ class HomaTransport(Transport):
                     # missing range as a ghost (_ghost_resend), and a
                     # retired request degrades to the at-least-once
                     # re-execution path (section 3.8).
-                    del self.outbound[key]
                     rounds.pop(key, None)
-                    if not msg.is_request:
-                        self.server_rpcs.pop(msg.rpc_id, None)
-                    self.outbound_gaveups += 1
+                    self._out_give_up(key)
             for key in [k for k in rounds if k not in self.outbound]:
                 del rounds[key]
         elif self._orphan_rounds:

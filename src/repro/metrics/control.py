@@ -15,8 +15,10 @@ future protocols without a given counter) participate with zeros.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable
+
+from repro.core.faults import from_fields
 
 
 @dataclass(frozen=True)
@@ -62,31 +64,11 @@ class ControlTraffic:
                    outbound_give_ups=out_gaveups)
 
     def to_payload(self) -> dict:
-        return {
-            "grants": self.grants,
-            "resends": self.resends,
-            "busys": self.busys,
-            "grant_ticks": self.grant_ticks,
-            "rtx_data": self.rtx_data,
-            "rtx_recovered": self.rtx_recovered,
-            "give_ups": self.give_ups,
-            "outbound_give_ups": self.outbound_give_ups,
-        }
+        return asdict(self)
 
     @classmethod
-    def from_payload(cls, payload: dict | None) -> "ControlTraffic":
-        if not payload:
-            return cls()
-        return cls(
-            grants=payload.get("grants", 0),
-            resends=payload.get("resends", 0),
-            busys=payload.get("busys", 0),
-            grant_ticks=payload.get("grant_ticks", 0),
-            rtx_data=payload.get("rtx_data", 0),
-            rtx_recovered=payload.get("rtx_recovered", 0),
-            give_ups=payload.get("give_ups", 0),
-            outbound_give_ups=payload.get("outbound_give_ups", 0),
-        )
+    def from_payload(cls, payload: dict) -> "ControlTraffic":
+        return from_fields(cls, payload)
 
 
 @dataclass(frozen=True)
@@ -136,26 +118,8 @@ class FabricHealth:
         return bool(self.total_drops or self.reroutes or self.faults_applied)
 
     def to_payload(self) -> dict:
-        return {
-            "drops_tor": self.drops_tor,
-            "drops_aggr": self.drops_aggr,
-            "drops_core": self.drops_core,
-            "fault_drops": self.fault_drops,
-            "black_holes": self.black_holes,
-            "reroutes": self.reroutes,
-            "faults_applied": self.faults_applied,
-        }
+        return asdict(self)
 
     @classmethod
-    def from_payload(cls, payload: dict | None) -> "FabricHealth":
-        if not payload:
-            return cls()
-        return cls(
-            drops_tor=payload.get("drops_tor", 0),
-            drops_aggr=payload.get("drops_aggr", 0),
-            drops_core=payload.get("drops_core", 0),
-            fault_drops=payload.get("fault_drops", 0),
-            black_holes=payload.get("black_holes", 0),
-            reroutes=payload.get("reroutes", 0),
-            faults_applied=payload.get("faults_applied", 0),
-        )
+    def from_payload(cls, payload: dict) -> "FabricHealth":
+        return from_fields(cls, payload)

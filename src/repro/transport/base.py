@@ -16,11 +16,12 @@ the protocol supplies only its repair action.  Give-ups and
 retransmissions flow through the shared counters below into
 ``metrics/control.py`` ControlTraffic.
 Every transport shares one receiver (``_inbound_for`` / ``_record``
-/ ``_complete`` / ``_in_give_up``, with a done-memory for late copies);
-the baselines also share one sender (``outbound``, ``_out_watch``,
-``_retire`` / ``_out_give_up``, and the retry-budget gate
-``_recovery_round``).  Each protocol keeps only its packet formats, its
-repair action and its own per-message state.
+/ ``_complete`` / ``_in_give_up``, with a done-memory for late copies)
+and one sender exit (``outbound`` left through ``_retire`` /
+``_out_give_up``); the baselines also share the sender's watch
+(``_out_watch``) and the retry-budget gate ``_recovery_round``.  Each
+protocol keeps only its packet formats, its repair action and its own
+per-message state.
 On clean fabrics the registry passes ``recovery=None`` and none of
 this machinery schedules a single event, keeping the clean-fabric
 slowdown digests byte-identical (default-off stays default-off).
@@ -319,7 +320,7 @@ class Transport:
             self._forget_inbound(key)
 
     # ------------------------------------------------------------------
-    # the baselines' shared sender: register, retire, retry, give up
+    # the shared sender: register, retire, retry, give up
     # ------------------------------------------------------------------
 
     def _watch_outbound(self, key: int, record) -> None:

@@ -99,17 +99,9 @@ def _assert_every_field_set(obj) -> None:
             f"(new field? extend this test and the payload pair)")
 
 
-def test_payload_round_trip_covers_every_field():
-    """Set EVERY dataclass field of ExperimentConfig and ExperimentResult,
-    and of every class they carry (HomaConfig, TopologySpec, LossRates,
-    FaultEvent, ControlTraffic, FabricHealth, SlowdownTracker), to a
-    non-default value and require an exact JSON round-trip.  A field silently dropped by a payload pair
-    corrupts the on-disk campaign cache — the rerun "hits" with a default
-    where measured data should be — and this test fails loudly the moment
-    a new field is added without extending both the pair and this test."""
-    # ``to_payload`` is ``asdict``: a field can only be lost on the way
-    # back, e.g. by a ``from_payload`` that rebuilds a nested class by
-    # hand.
+def every_field_result() -> ExperimentResult:
+    """A result whose every dataclass field, and every field of every
+    class it carries, holds a non-default value."""
     cfg = ExperimentConfig(
         protocol="pfabric", workload="W4", load=0.55, racks=2,
         hosts_per_rack=3, aggrs=1, duration_ms=2.5, warmup_ms=0.5,
@@ -131,18 +123,11 @@ def test_payload_round_trip_covers_every_field():
             loss=LossRates(tor=0.01, aggr=0.02, core=0.03),
             faults=(FaultEvent(1.5, "link", "down", "tor0:aggr0.1"),
                     FaultEvent(2.5, "switch", "down", "core3"))))
-    for obj in (cfg, cfg.homa, cfg.fabric, cfg.fabric.loss,
-                *cfg.fabric.faults):
-        _assert_every_field_set(obj)
-    back = ExperimentConfig.from_payload(
-        json.loads(json.dumps(cfg.to_payload())))
-    assert back == cfg
-
     recorded = SlowdownTracker(None, warmup_ps=123)
     push_sample(recorded, 100, 1.5)
     push_sample(recorded, 200, 2.5)
     tracker = SlowdownTracker.from_payload(recorded.to_payload())
-    result = ExperimentResult(
+    return ExperimentResult(
         cfg=cfg, tracker=tracker, submitted=5, completed=4, pending=1,
         sim_time_ms=3.5, events=999, wall_seconds=0.25,
         queue_rows=[QueueLevelStats(
@@ -157,6 +142,28 @@ def test_payload_round_trip_covers_every_field():
         fabric=FabricHealth(drops_tor=1, drops_aggr=2, drops_core=3,
                             fault_drops=4, black_holes=5, reroutes=6,
                             faults_applied=7))
+
+
+def test_payload_round_trip_covers_every_field():
+    """Set EVERY dataclass field of ExperimentConfig and ExperimentResult,
+    and of every class they carry (HomaConfig, TopologySpec, LossRates,
+    FaultEvent, ControlTraffic, FabricHealth, SlowdownTracker), to a
+    non-default value and require an exact JSON round-trip.  A field silently dropped by a payload pair
+    corrupts the on-disk campaign cache — the rerun "hits" with a default
+    where measured data should be — and this test fails loudly the moment
+    a new field is added without extending both the pair and this test."""
+    # ``to_payload`` is ``asdict``: a field can only be lost on the way
+    # back, e.g. by a ``from_payload`` that rebuilds a nested class by
+    # hand.
+    result = every_field_result()
+    cfg = result.cfg
+    for obj in (cfg, cfg.homa, cfg.fabric, cfg.fabric.loss,
+                *cfg.fabric.faults):
+        _assert_every_field_set(obj)
+    back = ExperimentConfig.from_payload(
+        json.loads(json.dumps(cfg.to_payload())))
+    assert back == cfg
+
     for obj in (result, result.control, result.fabric):
         _assert_every_field_set(obj)
     for obj in (result.control, result.fabric):
@@ -173,6 +180,34 @@ def test_payload_round_trip_covers_every_field():
             assert getattr(back, f.name) == getattr(result, f.name), f.name
     assert isinstance(back.delay_breakdown, tuple)
     assert isinstance(back.cfg.collect, tuple)
+
+
+#: every record inside a result payload, as its path of keys
+_RECORD_PATHS = ((), ("cfg",), ("cfg", "homa"), ("cfg", "fabric"),
+                 ("cfg", "fabric", "loss"), ("cfg", "fabric", "faults", 0),
+                 ("queue_rows", 0), ("control",), ("fabric",))
+
+
+@pytest.mark.parametrize("path", _RECORD_PATHS,
+                         ids=lambda path: "/".join(map(str, path)) or "result")
+def test_payload_with_other_fields_fails_to_decode(path):
+    """A payload written by other code — one field missing, or one the
+    record does not have — raises instead of decoding with defaults."""
+    payload = json.loads(json.dumps(every_field_result().to_payload()))
+    record = payload
+    for key in path:
+        record = record[key]
+    for name in list(record):
+        value = record.pop(name)
+        with pytest.raises((KeyError, ValueError)):
+            ExperimentResult.from_payload(payload)
+        record[name] = value
+    record["retries"] = 0
+    with pytest.raises(ValueError, match=r"unknown \['retries'\]"):
+        ExperimentResult.from_payload(payload)
+    del record["retries"]
+    back = ExperimentResult.from_payload(payload)
+    assert json.loads(json.dumps(back.to_payload())) == payload
 
 
 def test_tracker_from_payload_reports_without_net():
@@ -316,11 +351,13 @@ def test_version_1_cache_entry_is_a_miss_and_is_overwritten(tmp_path):
 
 
 @pytest.mark.parametrize("corruption",
-                         ["truncated-column", "[1, 2]", "null", '"x"'])
+                         ["truncated-column", "[1, 2]", "null", '"x"',
+                          "missing-field", "unknown-field"])
 def test_corrupt_cache_entry_is_recomputed_and_rewritten(tmp_path,
                                                          corruption):
-    """A current-version entry whose packed column was truncated, or a
-    file whose JSON is not an entry object, is a miss: the cell is
+    """A current-version entry whose packed column was truncated or
+    whose result lacks a field or has one too many, or a file whose
+    JSON is not an entry object, is a miss: the cell is
     recomputed and the entry rewritten, instead of every later run
     raising in ``from_payload`` or on the entry's ``.get``."""
     spec = campaign.experiment_grid("truncated", {"cell": small_cfg()})
@@ -333,6 +370,14 @@ def test_corrupt_cache_entry_is_recomputed_and_rewritten(tmp_path,
         entry["payload"]["tracker"]["sizes"] = packed["sizes"][:-3]
         path.write_text(json.dumps(entry))
         with pytest.raises(ValueError, match="'sizes' is not valid base64"):
+            campaign.experiment_decode(cache.load(path))
+    elif corruption.endswith("-field"):
+        if corruption == "missing-field":
+            del entry["payload"]["aborted"]
+        else:
+            entry["payload"]["retries"] = 0
+        path.write_text(json.dumps(entry))
+        with pytest.raises(ValueError, match="ExperimentResult payload"):
             campaign.experiment_decode(cache.load(path))
     else:
         path.write_text(corruption)

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from repro.experiments import farm, wire
+from repro.experiments import campaign, farm, wire
 from repro.experiments.campaign import (
     EXPERIMENT_DECODE,
     IDENTITY_DECODE,
@@ -21,7 +21,7 @@ from repro.experiments.campaign import (
     run_pooled,
     slowdown_digest,
 )
-from repro.experiments.runner import ExperimentConfig
+from repro.experiments.runner import ExperimentConfig, ExperimentResult
 from repro.experiments.wire import (
     PROTOCOL_VERSION,
     FrameConn,
@@ -29,6 +29,7 @@ from repro.experiments.wire import (
     ProtocolError,
     encode_frame,
 )
+from repro.metrics.slowdown import SlowdownTracker
 
 
 def square_task(spec):
@@ -38,6 +39,20 @@ def square_task(spec):
 
 def boom_task(spec):
     raise ValueError(f"boom on {spec['x']}")
+
+
+def mangled_result_task(spec):
+    """A real ``ExperimentResult`` payload with one field dropped, or
+    with one field the record does not have."""
+    payload = ExperimentResult(
+        cfg=small_cfg(), tracker=SlowdownTracker(None), submitted=1,
+        completed=1, pending=0, sim_time_ms=1.0, events=1,
+        wall_seconds=0.0).to_payload()
+    if spec["mangle"] == "missing-field":
+        del payload["aborted"]
+    else:
+        payload["retries"] = 0
+    return payload
 
 
 def small_cfg(**kw):
@@ -410,22 +425,33 @@ def test_task_error_fails_immediately_without_retry(tmp_path):
     assert "boom on 0" in str(err.value)
 
 
-@pytest.mark.parametrize("path", ["farm", "local"])
-def test_undecodable_result_fails_its_cell_and_is_never_cached(tmp_path,
-                                                               path):
-    """A result whose payload will not decode (here a worker's
-    ``{"value": 9}`` claimed as an ``ExperimentResult``) fails the cell
-    it names; neither the cache nor the journal ever sees it."""
-    cell = Cell(key="forged", spec={"x": 3},
-                task="tests.test_farm:square_task", decode=EXPERIMENT_DECODE)
+@pytest.mark.parametrize("path,forgery", [
+    pytest.param(path, forgery, id=path if forgery == "square"
+                 else f"{path}-{forgery}")
+    for forgery in ("square", "missing-field", "unknown-field")
+    for path in ("farm", "local")])
+def test_undecodable_result_fails_its_cell_and_is_never_cached(
+        tmp_path, path, forgery):
+    """A result whose payload will not decode fails the cell it names;
+    neither the cache nor the journal ever sees it.  The forgeries: a
+    worker's ``{"value": 9}`` claimed as an ``ExperimentResult``, and a
+    real result payload missing a field or carrying an unknown one."""
+    if forgery == "square":
+        cell = Cell(key="forged", spec={"x": 3},
+                    task="tests.test_farm:square_task",
+                    decode=EXPERIMENT_DECODE)
+    else:
+        cell = Cell(key="forged", spec={"mangle": forgery},
+                    task="tests.test_farm:mangled_result_task",
+                    decode=EXPERIMENT_DECODE)
     spec = CampaignSpec(name="farmforged", cells=[cell])
     with pytest.raises(CampaignCellError) as err:
         if path == "farm":
             run_farm_with_workers([spec], tmp_path, workers=1,
                                   farm_wait_s=30.0)
         else:
-            run_pooled([spec], jobs=1, cache_dir=tmp_path / "cache",
-                       quiet=True)
+            campaign.run(spec, jobs=1, cache_dir=tmp_path / "cache",
+                         quiet=True)
     assert err.value.campaign == spec.name
     assert err.value.cell is cell
     assert "cell 'forged' failed" in str(err.value)
@@ -587,7 +613,7 @@ def _vandal_holding_a_cell(port):
     sock = socket.create_connection(("127.0.0.1", port), timeout=10)
     conn = FrameConn(sock)
     conn.send({"type": "hello", "protocol": PROTOCOL_VERSION,
-               "worker": "vandal"})
+               "code": campaign.code_fingerprint(), "worker": "vandal"})
     assert conn.recv()["type"] == "welcome"
     conn.send({"type": "next"})
     cell = conn.recv()
@@ -688,7 +714,7 @@ def _refuse_skewed_worker(tmp_path, spoken, rescue):
     conn.send({"type": "hello", "protocol": spoken, "worker": "skewed"})
     reply = conn.recv()
     assert reply["type"] == "abort"
-    assert "protocol 2 required" in reply["reason"]
+    assert f"protocol {PROTOCOL_VERSION} required" in reply["reason"]
     assert repr(spoken) in reply["reason"]
     assert conn.recv() is None  # refused at hello: never handed a cell
     conn.close()
@@ -711,8 +737,47 @@ def test_protocol_version_mismatch_is_rejected(tmp_path):
 def test_stale_protocol_1_worker_is_refused_at_hello(tmp_path, rescue):
     """Version 1 workers ship list-form sample columns the coordinator
     can no longer decode: they must never be handed a cell."""
-    assert PROTOCOL_VERSION == 2
+    assert PROTOCOL_VERSION == 3
     _refuse_skewed_worker(tmp_path, 1, rescue)
+
+
+def test_worker_on_another_checkout_is_refused_at_hello(tmp_path,
+                                                        monkeypatch):
+    """A worker whose code fingerprint differs from the coordinator's
+    would have its payloads cached under the coordinator's cell hashes.
+    It is refused at ``hello`` with both fingerprints named, nothing of
+    it reaches the cache or the journal, and the sweep completes through
+    the local fallback."""
+    spec = square_spec(n=2)
+    stale = "0" * 64
+    refusals = []
+
+    def stale_worker(port):
+        try:
+            farm.worker_loop("127.0.0.1", port, name="stale")
+        except ProtocolError as exc:
+            refusals.append(str(exc))
+
+    def on_listening(port):
+        # The coordinator holds its own fingerprint by now; only the
+        # worker started below sees the stale one.
+        monkeypatch.setattr(farm, "code_fingerprint", lambda: stale)
+        worker = threading.Thread(target=stale_worker, args=(port,),
+                                  daemon=True)
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert not any((tmp_path / "cache").glob("*.json"))
+        assert not (tmp_path / "journal").exists()
+
+    results = farm.run_farm(
+        [spec], cache_dir=tmp_path / "cache",
+        journal_dir=tmp_path / "journal", farm_wait_s=0.5,
+        on_listening=on_listening, quiet=True)[spec.name]
+    assert refusals == [f"code {campaign.code_fingerprint()} required, "
+                        f"worker runs {stale!r}"]
+    assert dict(results) == {0: {"value": 0}, 1: {"value": 1}}
+    assert results.farm_workers == 0 and results.farm_fallback
 
 
 #: set by the fake coordinator once it has reset the connection

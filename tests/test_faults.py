@@ -650,7 +650,6 @@ def test_fabric_health_payload_round_trip():
     assert FabricHealth.from_payload(health.to_payload()) == health
     assert health.total_drops == 1 + 2 + 3 + 4 + 5
     assert health.any()
-    assert FabricHealth.from_payload(None) == FabricHealth()
     assert not FabricHealth().any()
 
 

@@ -35,6 +35,7 @@ from repro.core.topology import TopologySpec
 from repro.core.units import MS, US
 from repro.experiments.campaign import slowdown_digest
 from repro.experiments.runner import ExperimentConfig, run_experiment
+from repro.experiments.scale import SCALES, scaled_kwargs
 from repro.metrics.control import FabricHealth
 from repro.transport.registry import PROTOCOLS
 
@@ -303,6 +304,26 @@ def test_pfabric_clean_fabric_delivers_at_most_once(seed):
         racks=3, hosts_per_rack=8, aggrs=2,
         duration_ms=0.1, warmup_ms=0.02, drain_ms=5.0, seed=seed))
     assert result.duplicates == 0
+
+
+#: ROADMAP item 1.  PIAS double-delivers on a clean fabric too; seed 3
+#: of the same cell delivers 288 of 288.
+PIAS_CLEAN_DUPLICATES = {1: "302 of 288", 2: "313 of 288"}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [
+    pytest.param(seed, marks=pytest.mark.xfail(strict=True, reason=(
+        f"ROADMAP item 1: PIAS completes more messages than it submits "
+        f"on a clean fabric ({PIAS_CLEAN_DUPLICATES[seed]}).  Delete "
+        f"this mark with the fix.")))
+    for seed in PIAS_CLEAN_DUPLICATES])
+def test_pias_clean_fabric_delivers_at_most_once(seed):
+    """Quick-scale W4 at 80% load, clean, capped at 300 messages."""
+    result = run_experiment(ExperimentConfig(
+        protocol="pias", workload="W4", load=0.8, seed=seed,
+        **{**scaled_kwargs("W4", SCALES["quick"]), "max_messages": 300}))
+    assert result.completed <= result.submitted
 
 
 # ---------------------------------------------------------------------------
